@@ -119,13 +119,14 @@ func MeasureBaseline(o Options) Baseline {
 	}
 
 	// Dovetail path: the radix route's minima on the all-light uniform
-	// workload, where the planner hands the whole input to the recursion.
-	// Same key convention as counting_*: newer baselines gate them, older
-	// baselines without the keys still compare cleanly.
+	// workload, where the default planner (ScatterAuto) hands the whole
+	// input to the recursion. Same key convention as counting_*: newer
+	// baselines gate them, older baselines without the keys still compare
+	// cleanly.
 	dovetail := map[string]time.Duration{}
 	for r := 0; r < o.Reps; r++ {
 		_, st, err := core.SemisortWS(&ws, a, &core.Config{Procs: P, Seed: o.Seed + 7,
-			ScatterStrategy: core.ScatterDovetail})
+			ScatterStrategy: core.ScatterAuto})
 		if err != nil {
 			panic(err)
 		}
@@ -197,6 +198,9 @@ func MeasureBaseline(o Options) Baseline {
 	reduced := map[string]time.Duration{}
 	for r := 0; r < o.Reps; r++ {
 		for name, strat := range map[string]core.ScatterStrategy{
+			// A reduce pinned to probing now runs the counting arm; the
+			// key stays because Compare fails on any key a stored
+			// baseline has and the current run lacks.
 			"reduce_probing":  core.ScatterProbing,
 			"reduce_counting": core.ScatterCounting,
 		} {
@@ -273,13 +277,13 @@ func MeasureBaseline(o Options) Baseline {
 				panic(err)
 			}
 		}),
-		// The dovetail route threads its radix scratch through the
-		// workspace, so a warm run allocates only what the other
-		// strategies do; a recursion buffer escaping the workspace
-		// shows up here first.
+		// The dovetail route (the default planner's pick on this uniform
+		// input) threads its radix scratch through the workspace, so a
+		// warm run allocates only what the other strategies do; a
+		// recursion buffer escaping the workspace shows up here first.
 		"dovetail": allocsPerOp(allocReps, func() {
 			if _, _, err := core.SemisortWS(&ws, a, &core.Config{Procs: 1, Seed: o.Seed + 7,
-				ScatterStrategy: core.ScatterDovetail}); err != nil {
+				ScatterStrategy: core.ScatterAuto}); err != nil {
 				panic(err)
 			}
 		}),

@@ -10,23 +10,21 @@ import (
 )
 
 // RunDovetail sweeps the duplication spectrum — distinct-key fraction
-// 2^0 down to 2^-20 of n — and races the skew-adaptive dovetail planner
-// against both of its parents: the scatter strategies (probing and
-// counting) on one side and the standalone radix route on the other
-// (dovetail pinned onto an all-distinct-routing input approximates it;
-// here the parents are the probing and counting runs themselves). The
-// acceptance shape: dovetail tracks the better parent across the whole
-// sweep, pulls ahead of the scatters on the near-unique end (where the
-// radix recursion skips bucket bookkeeping entirely) and re-routes to
-// the counting scatter on the duplicate-heavy end rather than paying
-// radix passes over massive duplication.
+// 2^0 down to 2^-20 of n — and races the default planner (ScatterAuto:
+// the dovetail radix route or the counting scatter) against the two
+// scatter pins, probing and counting. The acceptance shape: the planner
+// tracks the better parent across the whole sweep, pulls ahead of the
+// scatters on the near-unique end (where the radix recursion skips
+// bucket bookkeeping entirely) and re-routes to the counting scatter on
+// the duplicate-heavy end rather than paying radix passes over massive
+// duplication.
 func RunDovetail(o Options) []*Table {
 	o = o.withDefaults()
 	P := o.MaxProcs()
 
 	tab := &Table{
 		Title: fmt.Sprintf("Dovetail planner — duplication-spectrum sweep, n=%d, p=%d", o.N, P),
-		Headers: []string{"distinct/n", "probing(s)", "counting(s)", "dovetail(s)",
+		Headers: []string{"distinct/n", "probing(s)", "counting(s)", "auto(s)",
 			"resolved", "scatter_nodes", "radix_nodes", "dovetail_nodes", "vs best parent"},
 	}
 
@@ -56,7 +54,7 @@ func RunDovetail(o Options) []*Table {
 
 		probT, _ := run(core.ScatterProbing)
 		countT, _ := run(core.ScatterCounting)
-		dovT, dovStats := run(core.ScatterDovetail)
+		dovT, dovStats := run(core.ScatterAuto)
 
 		best := probT
 		if countT < best {
@@ -68,7 +66,7 @@ func RunDovetail(o Options) []*Table {
 			ratio(best, dovT))
 	}
 	tab.Notes = append(tab.Notes,
-		"'vs best parent' > 1 means dovetail beat the faster of probing/counting at that point",
+		"'vs best parent' > 1 means the planner beat the faster of probing/counting at that point",
 		"expect the planner to flip from the radix route (scatter_nodes=0) to the counting scatter (scatter_nodes=1) as duplication rises")
 	render(o, tab)
 	return []*Table{tab}

@@ -10,7 +10,8 @@ import (
 )
 
 // RunScatter is the scatter-strategy head-to-head: probing (the paper's
-// CAS scatter), counting (the two-pass alternative) and Auto, across
+// CAS scatter), counting (the two-pass alternative) and Auto (the
+// planner: counting or the dovetail radix route), across
 // distributions spanning the duplication spectrum — from all-light
 // uniform, where probing's single pass should win, to Zipfian and
 // few-heavy-keys inputs, where the counting scatter's exact offsets avoid
@@ -28,7 +29,7 @@ func RunScatter(o Options) []*Table {
 		{"zipfian M=10^4", distgen.Spec{Kind: distgen.Zipfian, Param: 1e4}},
 		{"uniform N=16 (few heavy)", distgen.Spec{Kind: distgen.Uniform, Param: 16}},
 	}
-	strategies := []core.ScatterStrategy{core.ScatterProbing, core.ScatterCounting, core.ScatterAuto, core.ScatterDovetail}
+	strategies := []core.ScatterStrategy{core.ScatterProbing, core.ScatterCounting, core.ScatterAuto}
 
 	tab := &Table{
 		Title: fmt.Sprintf("Scatter strategies — probing vs counting, n=%d, p=%d", o.N, P),

@@ -5,11 +5,14 @@ package core
 // without allocating anything beyond the returned output slice (and
 // nothing at all through SemisortShared). testing.AllocsPerRun pins
 // GOMAXPROCS to 1, and parallel dispatch inherently allocates goroutine
-// closures, so the contract is stated — and tested — for the serial
-// dispatch path.
+// closures, so the zero-allocation contract is stated — and tested — for
+// the serial dispatch path; TestSteadyStateAllocBytesParallel bounds the
+// parallel path in bytes instead.
 
 import (
 	"fmt"
+	"math"
+	"runtime"
 	"testing"
 
 	"repro/internal/distgen"
@@ -26,24 +29,66 @@ func allocDists(n int) []diffDist {
 	}
 }
 
+// dovetailDists are inputs on which the planner takes the dovetail route:
+// "heavy" puts a quarter of the records on four keys — sampled heavy
+// keys, yet far below the counting threshold — so the split's heavy
+// path runs; "light" has no heavy key.
+func dovetailDists(n int) []diffDist {
+	heavy := mkRecords(n, 0, 9)
+	for i := 0; i < n; i += 4 {
+		heavy[i].Key = uint64(i/4%4+1) * 0x9e3779b97f4a7c15
+	}
+	return []diffDist{
+		{"heavy", heavy},
+		{"light", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: float64(n)}, 10)},
+	}
+}
+
+// allocRoutes is the placement dimension of the steady-state gates: the
+// zero-value planner and the two pins on allocDists (the planner takes
+// counting on the heavy input and the dovetail route on the light one),
+// plus the planner on dovetailDists, named "dovetail" because every
+// input there must take the dovetail route.
+var allocRoutes = []struct {
+	name  string
+	strat ScatterStrategy
+	dists func(n int) []diffDist
+}{
+	{"auto", ScatterAuto, allocDists},
+	{"probing", ScatterProbing, allocDists},
+	{"counting", ScatterCounting, allocDists},
+	{"dovetail", ScatterAuto, dovetailDists},
+}
+
 // allocKinds is the Phase 4 kernel dimension of the steady-state gates:
 // every kernel owns different arena buffers (naming table, label arrays,
 // sub-bucket counts), so each must be exercised to pin the
 // zero-allocation contract.
 var allocKinds = []LocalSortKind{LocalSortHybrid, LocalSortCounting, LocalSortBucket}
 
+// checkAllocRoute fails a "dovetail" subtest whose input did not take the
+// dovetail route.
+func checkAllocRoute(t *testing.T, route string, st Stats) {
+	t.Helper()
+	if route == "dovetail" && st.ScatterStrategy != "dovetail" {
+		t.Fatalf("ScatterStrategy = %q, want dovetail", st.ScatterStrategy)
+	}
+}
+
 func TestSteadyStateAllocsWS(t *testing.T) {
 	const n = 60000
-	for _, strat := range []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting, ScatterDovetail} {
+	for _, route := range allocRoutes {
 		for _, kind := range allocKinds {
-			for _, d := range allocDists(n) {
-				t.Run(fmt.Sprintf("%v/%v/%s", strat, kind, d.name), func(t *testing.T) {
-					cfg := &Config{Procs: 1, Seed: 11, ScatterStrategy: strat, LocalSort: kind}
+			for _, d := range route.dists(n) {
+				t.Run(fmt.Sprintf("%s/%v/%s", route.name, kind, d.name), func(t *testing.T) {
+					cfg := &Config{Procs: 1, Seed: 11, ScatterStrategy: route.strat, LocalSort: kind}
 					ws := &Workspace{}
 					for i := 0; i < 2; i++ { // warm the workspace
-						if _, _, err := SemisortWS(ws, d.data, cfg); err != nil {
+						_, st, err := SemisortWS(ws, d.data, cfg)
+						if err != nil {
 							t.Fatal(err)
 						}
+						checkAllocRoute(t, route.name, st)
 					}
 					allocs := testing.AllocsPerRun(10, func() {
 						if _, _, err := SemisortWS(ws, d.data, cfg); err != nil {
@@ -63,16 +108,18 @@ func TestSteadyStateAllocsWS(t *testing.T) {
 
 func TestSteadyStateAllocsShared(t *testing.T) {
 	const n = 60000
-	for _, strat := range []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting, ScatterDovetail} {
+	for _, route := range allocRoutes {
 		for _, kind := range allocKinds {
-			for _, d := range allocDists(n) {
-				t.Run(fmt.Sprintf("%v/%v/%s", strat, kind, d.name), func(t *testing.T) {
-					cfg := &Config{Procs: 1, Seed: 11, ScatterStrategy: strat, LocalSort: kind}
+			for _, d := range route.dists(n) {
+				t.Run(fmt.Sprintf("%s/%v/%s", route.name, kind, d.name), func(t *testing.T) {
+					cfg := &Config{Procs: 1, Seed: 11, ScatterStrategy: route.strat, LocalSort: kind}
 					ws := &Workspace{}
 					for i := 0; i < 2; i++ {
-						if _, _, err := SemisortShared(ws, d.data, cfg); err != nil {
+						_, st, err := SemisortShared(ws, d.data, cfg)
+						if err != nil {
 							t.Fatal(err)
 						}
+						checkAllocRoute(t, route.name, st)
 					}
 					allocs := testing.AllocsPerRun(10, func() {
 						if _, _, err := SemisortShared(ws, d.data, cfg); err != nil {
@@ -85,6 +132,58 @@ func TestSteadyStateAllocsShared(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestSteadyStateAllocBytesParallel gates the parallel paths the gates
+// above cannot see: testing.AllocsPerRun pins GOMAXPROCS to 1. It reads
+// runtime.MemStats around warm default-config SemisortShared calls at
+// Procs == 2 on a uniform input large enough for the dovetail route's
+// parallel radix pass, and holds the default to what the counting
+// scatter allocates on the same input (goroutines and closures of the
+// parallel passes) plus a small fixed slack.
+func TestSteadyStateAllocBytesParallel(t *testing.T) {
+	const (
+		n     = 1 << 17
+		calls = 5
+		slack = 2 << 10
+	)
+	a := distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: n}, 21)
+	bytesPerCall := func(strat ScatterStrategy) (uint64, string) {
+		ws := &Workspace{}
+		cfg := &Config{Procs: 2, Seed: 11, ScatterStrategy: strat}
+		var st Stats
+		for i := 0; i < 3; i++ { // warm the workspace
+			var err error
+			if _, st, err = SemisortShared(ws, a, cfg); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// The minimum over a few rounds filters out allocations the
+		// runtime makes on its own behalf.
+		best := uint64(math.MaxUint64)
+		for round := 0; round < 3; round++ {
+			var m0, m1 runtime.MemStats
+			runtime.ReadMemStats(&m0)
+			for i := 0; i < calls; i++ {
+				if _, _, err := SemisortShared(ws, a, cfg); err != nil {
+					t.Fatal(err)
+				}
+			}
+			runtime.ReadMemStats(&m1)
+			best = min(best, (m1.TotalAlloc-m0.TotalAlloc)/calls)
+		}
+		return best, st.ScatterStrategy
+	}
+	def, route := bytesPerCall(ScatterAuto)
+	if route != "dovetail" {
+		t.Fatalf("default resolved to %q on uniform keys, want dovetail", route)
+	}
+	counting, _ := bytesPerCall(ScatterCounting)
+	t.Logf("bytes per warm call at Procs=2: default %d, counting %d", def, counting)
+	if def > counting+slack {
+		t.Errorf("default config allocates %d B per warm call, counting %d B: want at most %d B more",
+			def, counting, slack)
 	}
 }
 

@@ -42,15 +42,9 @@ func (pl *plan) allocatePhase() error {
 	var slotTotal int64
 	for _, hr := range pl.heavyRuns {
 		id := int64(len(buckets))
-		size := 0
-		if pl.red == nil {
-			// A fused reduce never places heavy records (they fold into
-			// per-worker cells), so heavy buckets get no slots at all: the
-			// slot arrays and the MaxSlotBytes cap cover light keys only.
-			size = pl.model.heavySize(int(hr.count), hr.key>>pl.shift)
-			if m, ok := pl.boost[int32(id)]; ok {
-				size = boostSize(size, m, c.ExactBucketSizes)
-			}
+		size := pl.model.heavySize(int(hr.count), hr.key>>pl.shift)
+		if m, ok := pl.boost[int32(id)]; ok {
+			size = boostSize(size, m, c.ExactBucketSizes)
 		}
 		buckets = append(buckets, bucket{off: slotTotal, sz: uint64(size)})
 		slotTotal += int64(size)
@@ -136,7 +130,7 @@ func (pl *plan) allocatePhase() error {
 				errSlotCap, pl.cplan.scratchBytes, c.MaxSlotBytes)
 		}
 		pl.stats.SlotsAllocated = pl.n
-	} else if pl.strat == ScatterDovetail {
+	} else if pl.strat == scatterDovetail {
 		// The dovetail split runs the counting machinery over one bin per
 		// heavy bucket plus a single catch-all bin for every light record,
 		// writing the packed output directly; the light region is then

@@ -62,34 +62,35 @@ const (
 type ScatterStrategy int
 
 const (
-	// ScatterAuto resolves the strategy per attempt from the sample:
-	// counting when at least autoHeavySampleFrac of the sampled keys fall
-	// in heavy runs (duplication makes CAS contention expensive and the
-	// histogram cheap), probing otherwise. The zero value.
+	// ScatterAuto is the planner, and the zero value. It reads the
+	// Phase 1 sample once per attempt. A duplicate-heavy sample (at
+	// least autoHeavySampleFrac of the estimated record mass in heavy
+	// runs) routes the whole input to the counting scatter: a radix
+	// recursion would rediscover the same few heavy keys at every node.
+	// Any other sample takes the dovetail route: one deterministic
+	// counting pass splits the sampled heavy keys into packed front
+	// groups, and a top-down MSD radix recursion (internal/sortint's
+	// dovetail sort) groups the light remainder, re-sampling at every
+	// node and pulling that node's heavy keys out of its distribution
+	// pass. A fused reduce always takes the counting scatter. Every route
+	// is deterministic — no CAS, no probing, no overflow retries — and
+	// the per-node decisions are reported in Stats.PlannerRoutes.
 	ScatterAuto ScatterStrategy = iota
-	// ScatterProbing is the paper's placement: a pseudo-random slot per
+	// ScatterProbing pins the paper's placement: a pseudo-random slot per
 	// record, claimed with CAS, probing on collision (parameterized by
-	// Config.Probe). Overflow triggers the Las Vegas retry ladder.
+	// Config.Probe). Overflow triggers the Las Vegas retry ladder. It is
+	// the reproduction path of the paper tables; a fused reduce ignores
+	// the pin and runs the counting scatter.
 	ScatterProbing
-	// ScatterCounting is the deterministic two-pass counting scatter: a
+	// ScatterCounting pins the deterministic two-pass counting scatter: a
 	// per-block histogram over bucket ids, prefix sums to exact write
 	// cursors, then blocked writes through per-worker staging buffers
 	// that flush cache-line-sized runs. No CAS, no probing, and no
 	// overflow retries — the offsets are exact, so the path cannot fail.
 	ScatterCounting
-	// ScatterDovetail is the skew-adaptive hybrid: the planner reads the
-	// Phase 1 sample and routes by duplication. A duplicate-heavy top
-	// level resolves to the counting scatter (the radix recursion would
-	// only rediscover the same few heavy keys at every node); otherwise
-	// one deterministic counting pass splits the sampled heavy keys into
-	// packed front groups and the light remainder is grouped by a
-	// top-down MSD radix recursion (internal/sortint's dovetail sort)
-	// that re-samples at every node, pulling that node's heavy keys out
-	// of its distribution pass. Deterministic like the counting scatter;
-	// no CAS, no probing, no overflow retries. Per-node decisions are
-	// reported in Stats.PlannerRoutes. A fused reduce has no dovetail
-	// arm and resolves as Auto would.
-	ScatterDovetail
+	// scatterDovetail is the planner's radix route. It is never a
+	// Config value, only what ScatterAuto resolves to.
+	scatterDovetail
 )
 
 func (s ScatterStrategy) String() string {
@@ -98,7 +99,7 @@ func (s ScatterStrategy) String() string {
 		return "probing"
 	case ScatterCounting:
 		return "counting"
-	case ScatterDovetail:
+	case scatterDovetail:
 		return "dovetail"
 	default:
 		return "auto"
@@ -107,8 +108,9 @@ func (s ScatterStrategy) String() string {
 
 // Config holds the algorithm's tuning parameters. The zero value selects
 // the paper's defaults (Section 4): p = 1/16, δ = 16, 2^16 light buckets,
-// c = 1.25, slack 1.1, bucket merging on, hybrid local sort, linear
-// probing.
+// c = 1.25, slack 1.1, bucket merging on, hybrid local sort. Phase 3
+// placement comes from the planner (ScatterAuto); the paper's
+// linear-probing scatter is the ScatterProbing pin.
 type Config struct {
 	// Procs is the number of workers; <= 0 means GOMAXPROCS.
 	Procs int
@@ -157,21 +159,15 @@ type Config struct {
 	ExactBucketSizes bool
 	// LocalSort selects the Phase 4 algorithm.
 	LocalSort LocalSortKind
-	// UniformLocalSortChunks disables the size-aware Phase 4 schedule,
-	// splitting the light buckets into one uniform-bucket-count range per
-	// worker regardless of bucket sizes (ablation: under skew one giant
-	// merged bucket then serializes the phase behind whichever worker
-	// drew it).
-	UniformLocalSortChunks bool
 	// Probe selects the Phase 3 collision strategy (probing scatter only).
-	// A non-linear probe kind forces ScatterProbing — the alternative
-	// probes parameterize the probing placement, so combining them with
-	// the counting scatter would be meaningless.
+	// A non-linear probe kind forces ScatterProbing on a plain semisort —
+	// the alternative probes parameterize the probing placement, so
+	// combining them with another scatter would be meaningless.
 	Probe ProbeKind
-	// ScatterStrategy selects the Phase 3 placement: the paper's CAS +
-	// probing scatter, the deterministic two-pass counting scatter, or
-	// (the default) an automatic per-attempt choice driven by the
-	// sample's heavy fraction.
+	// ScatterStrategy selects the Phase 3 placement: the default planner
+	// (ScatterAuto: counting for a duplicate-heavy sample, the dovetail
+	// radix route otherwise), or a pin to the paper's CAS + probing
+	// scatter or the two-pass counting scatter.
 	ScatterStrategy ScatterStrategy
 	// MaxRetries bounds Las Vegas restarts after bucket overflow. The
 	// retry policy is adaptive: the first restarts regrow only the
@@ -318,10 +314,11 @@ type Stats struct {
 	MaxProbeCluster int
 
 	// ScatterStrategy names the Phase 3 placement the last attempt used:
-	// "probing", "counting" or "dovetail" (ScatterAuto resolves to
-	// probing or counting per attempt, from that attempt's sample;
-	// ScatterDovetail resolves to counting under heavy duplication).
-	// Empty only when no attempt reached Phase 2.
+	// "probing", "counting" or "dovetail". ScatterAuto resolves to
+	// counting or dovetail per attempt, from that attempt's sample, and
+	// always to counting on a fused reduce; "probing" appears only under
+	// a ScatterProbing pin or a non-linear Probe. Empty only when no
+	// attempt reached Phase 2.
 	ScatterStrategy string
 	// PlannerRoutes breaks down the skew-adaptive planner's routing
 	// decisions for the attempt that produced the output. Zero when no
@@ -334,8 +331,8 @@ type Stats struct {
 	ScatterFlushes int64
 	// LocalSortRanges is the number of size-aware bucket ranges the Phase
 	// 4 schedule cut the light buckets into (1 at Procs == 1, at most
-	// 8 × Procs otherwise; the bucket count per worker under
-	// UniformLocalSortChunks). Zero when the attempt had no light buckets.
+	// 8 × Procs otherwise). Zero when the attempt had no light buckets
+	// and on the dovetail route, whose Phase 4 is the radix recursion.
 	LocalSortRanges int
 
 	// Recovery bookkeeping (Attempts == 1 and the rest zero on a clean
@@ -380,8 +377,8 @@ type Stats struct {
 // heavily duplicated ones; see docs/OBSERVABILITY.md.
 type PlannerRoutes struct {
 	// ScatterNodes is 1 when the top level routed to the probing or
-	// counting scatter — including a ScatterDovetail run whose sample
-	// was duplicate-heavy enough to resolve to counting — and 0 when the
+	// counting scatter — including a ScatterAuto run whose sample was
+	// duplicate-heavy enough to resolve to counting — and 0 when the
 	// dovetail radix path ran.
 	ScatterNodes int
 	// RadixNodes counts dovetail recursion nodes whose sample found no
@@ -418,43 +415,33 @@ func (e *overflowError) Error() string {
 
 func (e *overflowError) Unwrap() error { return ErrOverflow }
 
-// autoHeavySampleFrac is the ScatterAuto decision threshold: when at
-// least this fraction of the estimated record mass fell in heavy runs,
-// the input is duplicate-heavy enough that the counting scatter's extra
-// histogram pass costs less than the CAS contention it removes. (Under a
-// uniform one-shot sample the mass ratio equals the heavy-sample
-// fraction the planner historically used.) At the representative
+// autoHeavySampleFrac is the planner's top-level threshold: when at least
+// this fraction of the estimated record mass fell in heavy runs, the
+// input is duplicate-heavy enough that the radix recursion would only
+// rediscover the same few heavy keys at every node, so the whole input
+// takes the counting scatter instead. (Under a uniform one-shot sample
+// the mass ratio equals the heavy-sample fraction.) At the representative
 // workloads, exponential λ=n/10^3 (~70% heavy) and Zipf M=10^4 (~2/3
-// heavy) resolve to counting; uniform N=n (no heavy keys) to probing.
+// heavy) resolve to counting; uniform N=n (no heavy keys) to dovetail.
 const autoHeavySampleFrac = 0.5
 
 // resolveScatter picks the Phase 3 placement for one attempt — the
-// planner's top-level route. Non-linear probe kinds parameterize the
-// probing scatter and force it; an empty sample gives Auto nothing to
-// predict with and falls back to probing. ScatterDovetail is itself a
-// per-attempt decision: a duplicate-heavy sample routes the whole input
-// to the counting scatter (the radix recursion would rediscover the same
-// few heavy keys at every node while paying a full distribution pass per
-// level), a fused reduce has no dovetail arm and resolves as Auto, and
-// everything else takes the dovetail radix path.
+// planner's top-level route. A fused reduce always takes the counting
+// scatter, whose pass-1 histogram and per-worker cells are the only
+// fused arms. Otherwise the pins are honoured (a non-linear probe kind
+// parameterizes the probing scatter and forces it), and ScatterAuto
+// sends a duplicate-heavy sample to counting and everything else —
+// an empty sample included — to the dovetail radix route.
 func resolveScatter(c *Config, heavyMass, totalMass float64, fused bool) ScatterStrategy {
-	if c.Probe != ProbeLinear {
+	switch {
+	case fused:
+		return ScatterCounting
+	case c.Probe != ProbeLinear:
 		return ScatterProbing
-	}
-	heavyDominated := totalMass > 0 && heavyMass >= autoHeavySampleFrac*totalMass
-	switch c.ScatterStrategy {
-	case ScatterProbing, ScatterCounting:
+	case c.ScatterStrategy == ScatterProbing || c.ScatterStrategy == ScatterCounting:
 		return c.ScatterStrategy
-	case ScatterDovetail:
-		if !fused {
-			if heavyDominated {
-				return ScatterCounting
-			}
-			return ScatterDovetail
-		}
-	}
-	if heavyDominated {
+	case totalMass > 0 && heavyMass >= autoHeavySampleFrac*totalMass:
 		return ScatterCounting
 	}
-	return ScatterProbing
+	return scatterDovetail
 }

@@ -18,15 +18,16 @@
 //     fewer than Delta samples are merged (the ~10% memory optimization of
 //     Phase 2).
 //  3. Scattering (scatter_probing.go, scatter_counting.go,
-//     scatter_dovetail.go): write every record to a pseudo-random slot of
-//     its bucket, claiming slots with compare-and-swap and linear probing
-//     on collision — or, when Config.ScatterStrategy selects (or the
-//     sample predicts) heavy duplication, place records with a
+//     scatter_dovetail.go). The default planner (ScatterAuto) reads the
+//     sample: under heavy duplication it places records with a
 //     deterministic two-pass counting scatter that computes exact
-//     per-bucket offsets and needs no atomics. A third, skew-adaptive
-//     route (ScatterDovetail) splits the sampled heavy keys into packed
+//     per-bucket offsets and needs no atomics; otherwise it takes the
+//     dovetail route, which splits the sampled heavy keys into packed
 //     front groups with one counting pass and hands the light remainder
 //     to a top-down MSD radix recursion that keeps re-deciding per node.
+//     The paper's placement — a pseudo-random slot per record, claimed
+//     with compare-and-swap, linear probing on collision — runs under
+//     the ScatterProbing pin.
 //  4. Local sort (localsort.go): compact each light bucket and semisort it
 //     locally (hybrid comparison sort by default, or the Rajasekaran–Reif
 //     style naming + two-pass counting sort).
@@ -40,11 +41,11 @@
 // allocating. The three Phase 3 placements implement one scatterStage
 // contract; each determines how Phases 4 and 5 traverse its layout.
 //
-// A scatter overflow (a bucket smaller than its actual multiplicity, which
-// has probability O(n^{-c})) is detected and the algorithm restarts with
-// doubled slack, making the implementation Las Vegas with respect to
-// bucket sizing, exactly as the end of Section 3 prescribes. The retry
-// ladder lives in semisortInto below.
+// On the probing path a scatter overflow (a bucket smaller than its
+// actual multiplicity, which has probability O(n^{-c})) is detected and
+// the algorithm restarts with doubled slack, making the implementation
+// Las Vegas with respect to bucket sizing, exactly as the end of Section
+// 3 prescribes. The retry ladder lives in semisortInto below.
 package core
 
 import (
@@ -70,9 +71,10 @@ func Semisort(a []rec.Record, cfg *Config) ([]rec.Record, Stats, error) {
 // allocates a private workspace for this call.
 //
 // Failure handling (see DESIGN.md, "Failure model & recovery guarantees"):
-// bucket overflow retries adaptively up to MaxRetries attempts — the first
-// restarts keep the sample and regrow only the overflowed buckets, then
-// escalation resamples with doubled slack — and exhaustion degrades to the
+// bucket overflow (probing pin only) retries adaptively up to MaxRetries
+// attempts — the first restarts keep the sample and regrow only the
+// overflowed buckets, then escalation resamples with doubled slack — and
+// exhaustion (or the MaxSlotBytes cap, on any route) degrades to the
 // deterministic sequential semisort unless DisableFallback is set. A panic
 // on a fork–join worker (e.g. out of memory in one chunk) is returned as
 // an error wrapping *parallel.PanicError. A canceled Config.Context

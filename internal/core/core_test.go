@@ -135,11 +135,12 @@ func TestSemisortAllLight(t *testing.T) {
 
 func TestSemisortLinearWorkSpace(t *testing.T) {
 	// Lemma 3.5: total allocated slots are O(n). Check the constant stays
-	// sane (< 16n) across distributions.
+	// sane (< 16n) across distributions on the probing scatter, the one
+	// that sizes slot arrays by estimate.
 	const n = 200000
 	for _, keyRange := range []uint64{1, 100, 10000, 0} {
 		a := mkRecords(n, keyRange, 9)
-		_, stats, err := Semisort(a, nil)
+		_, stats, err := Semisort(a, &Config{ScatterStrategy: ScatterProbing})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -234,13 +235,14 @@ func TestSemisortProbeRandom(t *testing.T) {
 }
 
 func TestSemisortNoBucketMerging(t *testing.T) {
+	// Slot memory is the probing scatter's; the other routes report n.
 	a := mkRecords(60000, 0, 14)
-	out, statsOff, err := Semisort(a, &Config{Procs: 4, DisableBucketMerging: true})
+	out, statsOff, err := Semisort(a, &Config{Procs: 4, DisableBucketMerging: true, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatal(err)
 	}
 	checkSemisorted(t, "merging disabled", a, out)
-	_, statsOn, err := Semisort(a, &Config{Procs: 4})
+	_, statsOn, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,9 +254,10 @@ func TestSemisortNoBucketMerging(t *testing.T) {
 
 func TestSemisortOverflowRetry(t *testing.T) {
 	// A pathologically small slack forces bucket overflow; the Las Vegas
-	// path must retry with doubled slack and still succeed.
+	// path (the probing scatter's) must retry with doubled slack and still
+	// succeed.
 	a := mkRecords(50000, 200, 15)
-	out, stats, err := Semisort(a, &Config{Procs: 4, Slack: 0.05, C: 0.01, MaxRetries: 12})
+	out, stats, err := Semisort(a, &Config{Procs: 4, Slack: 0.05, C: 0.01, MaxRetries: 12, ScatterStrategy: ScatterProbing})
 	if err != nil {
 		t.Fatalf("retry path failed: %v (retries=%d)", err, stats.Retries)
 	}
@@ -269,9 +272,11 @@ func TestSemisortOverflowRetry(t *testing.T) {
 
 func TestSemisortOverflowExhaustion(t *testing.T) {
 	// With MaxRetries=1, absurd sizing and the fallback disabled, the
-	// failure must surface as ErrOverflow rather than wrong output.
+	// failure must surface as ErrOverflow rather than wrong output. Only
+	// the probing scatter sizes buckets by estimate, so it is pinned.
 	a := mkRecords(50000, 3, 16) // few huge keys
-	cfg := Config{Slack: 0.001, C: 0.0001, SampleRate: 50000, MaxRetries: 1, DisableFallback: true}
+	cfg := Config{Slack: 0.001, C: 0.0001, SampleRate: 50000, MaxRetries: 1, DisableFallback: true,
+		ScatterStrategy: ScatterProbing}
 	_, _, err := Semisort(a, &cfg)
 	if err == nil {
 		t.Skip("sizing survived; cannot force overflow with this input")

@@ -43,7 +43,7 @@ func diffMatrix(n int, seed uint64) []diffDist {
 	}
 	return []diffDist{
 		{"uniform", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: float64(n)}, seed)},
-		{"zipf", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Zipfian, Param: 1000}, seed + 1)},
+		{"zipf", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Zipfian, Param: 1000}, seed+1)},
 		{"all-equal", allEqual},
 		{"all-distinct", mkRecords(n, 0, int64(seed)+2)},
 		{"few-heavy", fewHeavy},
@@ -70,7 +70,7 @@ func sameGrouping(t *testing.T, label string, in, out []rec.Record, refKeys map[
 // distributions against the sequential reference.
 func TestDifferentialStrategies(t *testing.T) {
 	const n = 20000
-	strategies := []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting, ScatterDovetail}
+	strategies := []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting}
 	for _, d := range diffMatrix(n, 99) {
 		ref := seqsemi.TwoPhase(append([]rec.Record(nil), d.data...))
 		refKeys := rec.KeyCounts(ref)
@@ -86,12 +86,12 @@ func TestDifferentialStrategies(t *testing.T) {
 				}
 				sameGrouping(t, label, d.data, out, refKeys)
 				switch {
-				case stats.FallbackUsed || strat == ScatterAuto:
-					// Auto resolves per attempt; a fallback run reports
-					// the failing attempts' strategy.
-				case strat == ScatterDovetail:
+				case stats.FallbackUsed:
+					// A fallback run reports the failing attempts' strategy.
+				case strat == ScatterAuto:
 					// The planner may route a duplicate-heavy sample to
-					// the counting scatter — that is the point.
+					// the counting scatter — that is the point — but never
+					// to probing.
 					if stats.ScatterStrategy != "dovetail" && stats.ScatterStrategy != "counting" {
 						t.Errorf("%s: Stats.ScatterStrategy = %q, want dovetail or counting",
 							label, stats.ScatterStrategy)
@@ -167,13 +167,13 @@ func TestDifferentialCountingLocalSorts(t *testing.T) {
 	}
 }
 
-// TestCountingDeterministic: the counting scatter's and the dovetail
-// hybrid's output must be byte-identical across worker counts and
+// TestCountingDeterministic: the counting scatter's and the default
+// planner's output must be byte-identical across worker counts and
 // repeated runs — the split's per-bucket order equals input order
 // regardless of block boundaries, and the radix recursion is
 // deterministic by construction.
 func TestCountingDeterministic(t *testing.T) {
-	for _, strat := range []ScatterStrategy{ScatterCounting, ScatterDovetail} {
+	for _, strat := range []ScatterStrategy{ScatterCounting, ScatterAuto} {
 		for _, d := range diffMatrix(20000, 123) {
 			var first []rec.Record
 			for _, procs := range []int{1, 2, 4, 4} {
@@ -199,9 +199,9 @@ func TestCountingDeterministic(t *testing.T) {
 // TestWorkspaceReuseByteIdentical: reusing a warm Workspace must not
 // change the output — every call with the same input, seed and strategy
 // is byte-identical to a fresh-workspace run. Covered where the strategy
-// itself is deterministic: the counting scatter at any worker count, the
-// probing scatter at one worker (its CAS placement is interleaving-
-// dependent beyond that).
+// itself is deterministic: the counting scatter and the default planner
+// at any worker count, the probing scatter at one worker (its CAS
+// placement is interleaving-dependent beyond that).
 func TestWorkspaceReuseByteIdentical(t *testing.T) {
 	cases := []struct {
 		strat ScatterStrategy
@@ -210,9 +210,9 @@ func TestWorkspaceReuseByteIdentical(t *testing.T) {
 		{ScatterCounting, 1},
 		{ScatterCounting, 2},
 		{ScatterCounting, 8},
-		{ScatterDovetail, 1},
-		{ScatterDovetail, 2},
-		{ScatterDovetail, 8},
+		{ScatterAuto, 1},
+		{ScatterAuto, 2},
+		{ScatterAuto, 8},
 		{ScatterProbing, 1},
 	}
 	for _, d := range diffMatrix(20000, 205) {

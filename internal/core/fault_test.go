@@ -232,18 +232,18 @@ func TestInjectedStageFlushBypass(t *testing.T) {
 	}
 }
 
-// Auto must route an all-distinct input to probing, where the injected
-// overflows drive the usual retry accounting.
-func TestAutoProbingOverflowAccounting(t *testing.T) {
+// On the probing pin, injected overflows on an all-distinct input drive
+// the usual retry accounting.
+func TestProbingOverflowAccounting(t *testing.T) {
 	a := mkRecords(30000, 0, 37) // unique keys: no heavy duplication
 	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4})
+	out, stats, err := Semisort(a, &Config{Procs: 2, MaxRetries: 4, ScatterStrategy: ScatterProbing})
 	if err != nil {
-		t.Fatalf("auto semisort after 2 injected overflows: %v", err)
+		t.Fatalf("probing semisort after 2 injected overflows: %v", err)
 	}
-	checkSemisorted(t, "auto overflow accounting", a, out)
+	checkSemisorted(t, "probing overflow accounting", a, out)
 	if stats.ScatterStrategy != "probing" {
-		t.Fatalf("ScatterStrategy = %q, want probing for distinct keys", stats.ScatterStrategy)
+		t.Fatalf("ScatterStrategy = %q, want probing", stats.ScatterStrategy)
 	}
 	if stats.Retries != 2 || stats.Attempts != 3 {
 		t.Errorf("Retries=%d Attempts=%d, want 2 and 3", stats.Retries, stats.Attempts)
@@ -337,7 +337,7 @@ func TestDovetailStatsInvariants(t *testing.T) {
 		Arm(fault.ScatterOverflow, 0, 100).
 		Arm(fault.ProbeSaturation, 0, 100)
 	withInjector(t, inj)
-	out, stats, err := Semisort(a, &Config{Procs: 2, ScatterStrategy: ScatterDovetail})
+	out, stats, err := Semisort(a, &Config{Procs: 2})
 	if err != nil {
 		t.Fatalf("dovetail semisort under armed overflow faults: %v", err)
 	}
@@ -373,7 +373,7 @@ func TestInjectedRadixNodeAborts(t *testing.T) {
 		ws := &Workspace{}
 		inj := fault.New(1).Arm(fault.RadixNode, 0, 1)
 		fault.Enable(inj)
-		out, stats, err := SemisortWS(ws, a, &Config{Procs: procs, ScatterStrategy: ScatterDovetail})
+		out, stats, err := SemisortWS(ws, a, &Config{Procs: procs})
 		fault.Disable()
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("procs=%d: err = %v, want wrapped ErrInjected", procs, err)
@@ -390,7 +390,7 @@ func TestInjectedRadixNodeAborts(t *testing.T) {
 		}
 		// The workspace must come back clean: a run with injection off
 		// produces a correct grouping through the same buffers.
-		out, stats, err = SemisortWS(ws, a, &Config{Procs: procs, ScatterStrategy: ScatterDovetail})
+		out, stats, err = SemisortWS(ws, a, &Config{Procs: procs})
 		if err != nil {
 			t.Fatalf("procs=%d: clean run after injected abort: %v", procs, err)
 		}
@@ -413,7 +413,7 @@ func TestDovetailCancellationMidRecursion(t *testing.T) {
 		inj := fault.New(1).Arm(fault.RadixNode, 0, 1)
 		inj.OnFire(fault.RadixNode, cancel)
 		fault.Enable(inj)
-		out, _, err := Semisort(a, &Config{Procs: procs, Context: ctx, ScatterStrategy: ScatterDovetail})
+		out, _, err := Semisort(a, &Config{Procs: procs, Context: ctx})
 		fault.Disable()
 		cancel()
 		if !errors.Is(err, context.Canceled) {
@@ -434,7 +434,7 @@ func TestDovetailWorkerPanic(t *testing.T) {
 		base := runtime.NumGoroutine()
 		a := mkRecords(200000, 0, 19)
 		withInjector(t, fault.New(1).Arm(fault.WorkerPanic, first, 1))
-		out, _, err := Semisort(a, &Config{Procs: 4, ScatterStrategy: ScatterDovetail})
+		out, _, err := Semisort(a, &Config{Procs: 4})
 		fault.Disable()
 		if err == nil {
 			t.Fatalf("occurrence %d: injected worker panic produced no error", first)
@@ -455,7 +455,7 @@ func TestDovetailWorkerPanic(t *testing.T) {
 // degrades to the fallback in a single attempt.
 func TestDovetailSlotCapFallsBack(t *testing.T) {
 	a := mkRecords(30000, 0, 13)
-	out, stats, err := Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512, ScatterStrategy: ScatterDovetail})
+	out, stats, err := Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512})
 	if err != nil {
 		t.Fatalf("scratch-capped dovetail semisort: %v", err)
 	}
@@ -467,7 +467,7 @@ func TestDovetailSlotCapFallsBack(t *testing.T) {
 		t.Errorf("Attempts = %d, want 1 (cap abort is not retryable)", stats.Attempts)
 	}
 
-	_, _, err = Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512, ScatterStrategy: ScatterDovetail, DisableFallback: true})
+	_, _, err = Semisort(a, &Config{Procs: 2, MaxSlotBytes: 512, DisableFallback: true})
 	if !errors.Is(err, ErrOverflow) {
 		t.Fatalf("capped + DisableFallback err = %v, want ErrOverflow", err)
 	}

@@ -45,7 +45,7 @@ func (pl *plan) localSortPhase(st scatterStage) error {
 		return err
 	}
 	ph, kernel := obsv.PhaseLocalSort, pl.cfg.LocalSort.String()
-	if pl.strat == ScatterDovetail {
+	if pl.strat == scatterDovetail {
 		// The dovetail route ignores Config.LocalSort: its Phase 4 is the
 		// radix recursion over the light region.
 		kernel = "radix"
@@ -74,9 +74,7 @@ const lsRangesPerProc = 8
 // contiguous ranges of near-equal total weight, where weightOf prices
 // one bucket's Phase 4 work (slot-array length on the probing path,
 // exact record count on the counting path). The boundaries land in
-// workspace-owned buffers, so the steady state allocates nothing. With
-// Config.UniformLocalSortChunks set (ablation) the ranges are instead
-// uniform in bucket count, one per worker — the schedule PR 4 shipped.
+// workspace-owned buffers, so the steady state allocates nothing.
 func (pl *plan) planLightRanges(weightOf func(*plan, int) int64) {
 	nb := pl.numLightMerged
 	if nb == 0 {
@@ -90,16 +88,6 @@ func (pl *plan) planLightRanges(weightOf func(*plan, int) int64) {
 		ranges = 1
 	}
 	bounds := grow(&pl.ws.lsBounds, ranges+1)
-	if pl.cfg.UniformLocalSortChunks {
-		uniform := min(nb, pl.procs)
-		bounds = grow(&pl.ws.lsBounds, uniform+1)
-		for i := 0; i <= uniform; i++ {
-			bounds[i] = int32(i * nb / uniform)
-		}
-		pl.lsBounds, pl.lsRanges = bounds, uniform
-		pl.stats.LocalSortRanges = uniform
-		return
-	}
 	cum := grow(&pl.ws.lsCum, nb)
 	var run int64
 	for j := 0; j < nb; j++ {
@@ -156,8 +144,8 @@ func (ar *lsArena) sortSeg(kind LocalSortKind, seg []rec.Record) {
 // flat open-addressing table assigning dense labels in first-appearance
 // order) followed by two stable counting-sort passes over the label
 // digits — the Rajasekaran–Reif style local semisort from Step 7c of
-// Algorithm 1. Labels are identical to the historical map-based
-// implementation (first appearance order), so the output is unchanged.
+// Algorithm 1. Labels are assigned in first-appearance order, as the
+// map-based reference kernel in localsort_test.go does.
 func (ar *lsArena) countingSemisort(seg []rec.Record) {
 	n := len(seg)
 	if n <= 1 {
@@ -292,78 +280,5 @@ func (ar *lsArena) bucketLocalSort(seg []rec.Record) {
 		if len(sub) > 1 {
 			sortcmp.Introsort(sub)
 		}
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Legacy per-bucket-allocating kernels.
-//
-// These are the PR 4 implementations, retained verbatim as the baseline
-// arm of the localsort experiment (semibench -experiment localsort) and
-// the kernel microbenchmarks: they produce identical output to the
-// arena kernels but allocate a map, label arrays, scratch records and
-// count arrays per bucket. Nothing on the semisort path calls them.
-
-// localSortSegAlloc dispatches to the legacy allocating kernels.
-func localSortSegAlloc(kind LocalSortKind, seg []rec.Record) {
-	switch kind {
-	case LocalSortCounting:
-		countingSemisortAlloc(seg)
-	case LocalSortBucket:
-		bucketLocalSortAlloc(seg)
-	default:
-		sortcmp.Introsort(seg)
-	}
-}
-
-func countingSemisortAlloc(seg []rec.Record) {
-	n := len(seg)
-	if n <= 1 {
-		return
-	}
-	labels := make([]int32, n)
-	tbl := make(map[uint64]int32, 16)
-	for i, r := range seg {
-		l, ok := tbl[r.Key]
-		if !ok {
-			l = int32(len(tbl))
-			tbl[r.Key] = l
-		}
-		labels[i] = l
-	}
-	m := len(tbl)
-	if m == 1 {
-		return
-	}
-	base := int(math.Ceil(math.Sqrt(float64(m))))
-	hi := (m+base-1)/base + 1
-	scratch := make([]rec.Record, n)
-	labScratch := make([]int32, n)
-	counts := make([]int32, max(base, hi)+1)
-	countingPass(seg, scratch, labels, labScratch, counts, base, func(l int32) int { return int(l) % base })
-	countingPass(seg, scratch, labels, labScratch, counts, hi, func(l int32) int { return int(l) / base })
-}
-
-func bucketLocalSortAlloc(seg []rec.Record) {
-	var ar lsArena // fresh arena: every buffer is allocated for this call
-	ar.bucketLocalSort(seg)
-}
-
-// LocalSortKernel sorts each segment in place with the chosen Phase 4
-// kernel; legacy selects the per-bucket-allocating PR 4 implementations,
-// otherwise one reused arena serves every segment the way a warm
-// workspace worker would. Exported for the localsort experiment and the
-// kernel microbenchmarks only — the semisort pipeline drives the kernels
-// through its scatter stages.
-func LocalSortKernel(kind LocalSortKind, legacy bool, segs [][]rec.Record) {
-	if legacy {
-		for _, s := range segs {
-			localSortSegAlloc(kind, s)
-		}
-		return
-	}
-	var ar lsArena
-	for _, s := range segs {
-		ar.sortSeg(kind, s)
 	}
 }

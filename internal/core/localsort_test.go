@@ -1,20 +1,68 @@
 package core
 
 // Phase 4 arena-kernel tests: the arena-backed kernels must produce
-// byte-identical output to the legacy per-bucket-allocating kernels
-// (the naming table assigns labels in first-appearance order either
-// way), arena reuse across segments must not leak state, and the
-// size-aware schedule must preserve the pipeline's output while
-// reporting its range count.
+// byte-identical output to per-segment reference kernels (for the
+// counting kernel, a map-based naming table that assigns labels in
+// first-appearance order as the arena's flat table does), arena reuse
+// across segments must not leak state, and the size-aware schedule must
+// preserve the pipeline's output while reporting its range count.
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/distgen"
 	"repro/internal/rec"
+	"repro/internal/sortcmp"
 )
+
+// refSortSeg is the reference for lsArena.sortSeg: the counting kernel
+// names keys with a Go map and allocates every buffer per segment, the
+// bucket kernel runs on a fresh arena, and the hybrid kernel is the
+// introsort itself.
+func refSortSeg(kind LocalSortKind, seg []rec.Record) {
+	switch kind {
+	case LocalSortCounting:
+		refCountingSemisort(seg)
+	case LocalSortBucket:
+		var ar lsArena
+		ar.bucketLocalSort(seg)
+	default:
+		sortcmp.Introsort(seg)
+	}
+}
+
+// refCountingSemisort is the map-based naming + two-pass counting sort
+// the arena kernel replaced.
+func refCountingSemisort(seg []rec.Record) {
+	n := len(seg)
+	if n <= 1 {
+		return
+	}
+	labels := make([]int32, n)
+	tbl := make(map[uint64]int32, 16)
+	for i, r := range seg {
+		l, ok := tbl[r.Key]
+		if !ok {
+			l = int32(len(tbl))
+			tbl[r.Key] = l
+		}
+		labels[i] = l
+	}
+	m := len(tbl)
+	if m == 1 {
+		return
+	}
+	base := int(math.Ceil(math.Sqrt(float64(m))))
+	hi := (m+base-1)/base + 1
+	scratch := make([]rec.Record, n)
+	labScratch := make([]int32, n)
+	counts := make([]int32, max(base, hi)+1)
+	countingPass(seg, scratch, labels, labScratch, counts, base, func(l int32) int { return int(l) % base })
+	countingPass(seg, scratch, labels, labScratch, counts, hi, func(l int32) int { return int(l) / base })
+}
 
 // randSegs builds segments shaped like light buckets: a mix of sizes,
 // duplicate densities, and one segment holding the reserved ^0 key.
@@ -45,15 +93,18 @@ func cloneSegs(segs [][]rec.Record) [][]rec.Record {
 
 // TestArenaKernelsMatchLegacy: for every LocalSortKind, the arena kernels
 // (one arena reused across all segments, as a Phase 4 worker would) and
-// the legacy allocating kernels produce identical bytes.
+// the per-segment reference kernels produce identical bytes.
 func TestArenaKernelsMatchLegacy(t *testing.T) {
 	r := rand.New(rand.NewSource(99))
 	for _, kind := range []LocalSortKind{LocalSortHybrid, LocalSortCounting, LocalSortBucket} {
 		t.Run(kind.String(), func(t *testing.T) {
 			segs := randSegs(r)
 			arena, legacy := cloneSegs(segs), cloneSegs(segs)
-			LocalSortKernel(kind, false, arena)
-			LocalSortKernel(kind, true, legacy)
+			var ar lsArena
+			for si := range segs {
+				ar.sortSeg(kind, arena[si])
+				refSortSeg(kind, legacy[si])
+			}
 			for si := range segs {
 				for i := range arena[si] {
 					if arena[si][i] != legacy[si][i] {
@@ -91,9 +142,9 @@ func TestArenaCountingSemisortGrouped(t *testing.T) {
 }
 
 // TestSizeAwareScheduleStats: a parallel run reports a size-aware range
-// count in (0, 8*procs]; a serial run collapses to one range; the
-// uniform ablation uses at most procs ranges. Output must be identical
-// across all three (the counting scatter is deterministic at any procs).
+// count in (0, 8*procs]; a serial run collapses to one range. Output must
+// be identical across both (the counting scatter is deterministic at any
+// procs).
 func TestSizeAwareScheduleStats(t *testing.T) {
 	a := distgen.Generate(4, 60000, distgen.Spec{Kind: distgen.Uniform, Param: 60000}, 12)
 	base := &Config{Procs: 4, Seed: 5, ScatterStrategy: ScatterCounting}
@@ -115,27 +166,16 @@ func TestSizeAwareScheduleStats(t *testing.T) {
 		t.Errorf("serial LocalSortRanges = %d, want 1", stS.LocalSortRanges)
 	}
 
-	uniform := *base
-	uniform.UniformLocalSortChunks = true
-	outU, stU, err := Semisort(a, &uniform)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stU.LocalSortRanges <= 0 || stU.LocalSortRanges > 4 {
-		t.Errorf("uniform LocalSortRanges = %d, want in (0, procs]", stU.LocalSortRanges)
-	}
-
 	for i := range out {
-		if out[i] != outS[i] || out[i] != outU[i] {
-			t.Fatalf("schedule changed output at %d: sized %v serial %v uniform %v",
-				i, out[i], outS[i], outU[i])
+		if out[i] != outS[i] {
+			t.Fatalf("schedule changed output at %d: sized %v serial %v", i, out[i], outS[i])
 		}
 	}
 }
 
-// TestSizeAwareScheduleProbing: same invariants on the probing path,
-// which weighs buckets by slot-range length; probing is deterministic at
-// Procs == 1, so compare serial runs of both schedules.
+// TestSizeAwareScheduleProbing: the probing path, which weighs buckets by
+// slot-range length, collapses to one range in a serial run and groups
+// correctly.
 func TestSizeAwareScheduleProbing(t *testing.T) {
 	a := distgen.Generate(4, 60000, distgen.Spec{Kind: distgen.Zipfian, Param: 1000}, 13)
 	for _, kind := range []LocalSortKind{LocalSortHybrid, LocalSortCounting} {
@@ -148,17 +188,7 @@ func TestSizeAwareScheduleProbing(t *testing.T) {
 			if st.LocalSortRanges != 1 {
 				t.Errorf("serial LocalSortRanges = %d, want 1", st.LocalSortRanges)
 			}
-			uniform := *sized
-			uniform.UniformLocalSortChunks = true
-			outU, _, err := Semisort(a, &uniform)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range out {
-				if out[i] != outU[i] {
-					t.Fatalf("uniform ablation changed probing output at %d", i)
-				}
-			}
+			checkSemisorted(t, fmt.Sprintf("probing kind=%v", kind), a, out)
 		})
 	}
 }

@@ -1,11 +1,12 @@
 // The plan is the heart of the pipeline refactor: one struct carrying an
 // attempt's resolved parameters and buffer views through the six phase
 // stages (sample.go, classify.go, buckets.go, scatter_probing.go /
-// scatter_counting.go, pack.go). It lives inside the Workspace so the
-// steady state allocates neither the plan nor its buffers, and every
-// phase body is a method on it, so parallel-for bodies can be passed as
-// method expressions (compile-time constants) instead of closures — the
-// difference between ~0 and ~10 allocations per call at Procs == 1.
+// scatter_counting.go / scatter_dovetail.go, pack.go). It lives inside
+// the Workspace so the steady state allocates neither the plan nor its
+// buffers, and every phase body is a method on it, so parallel-for
+// bodies can be passed as method expressions (compile-time constants)
+// instead of closures — the difference between ~0 and ~10 allocations
+// per call at Procs == 1.
 package core
 
 import (
@@ -28,9 +29,10 @@ import (
 // A scatterStage is one Phase 3 placement algorithm together with the
 // Phase 4/5 behavior it implies. The probing stage scatters into slot
 // arrays with CAS (then compacts and packs); the counting stage writes
-// final packed positions directly (local sort in place, pack a no-op).
-// Both implementations are zero-size types, so storing them in the
-// interface does not allocate.
+// final packed positions directly (local sort in place, pack a no-op);
+// the dovetail stage packs the heavy keys and hands the light region to
+// the radix recursion. All implementations are zero-size types, so
+// storing them in the interface does not allocate.
 type scatterStage interface {
 	strategy() ScatterStrategy
 	// scatter places every record into its bucket (Phase 3). An
@@ -49,7 +51,7 @@ func stageFor(s ScatterStrategy) scatterStage {
 	switch s {
 	case ScatterCounting:
 		return countingStage{}
-	case ScatterDovetail:
+	case scatterDovetail:
 		return dovetailStage{}
 	}
 	return probingStage{}
@@ -62,13 +64,13 @@ func stageFor(s ScatterStrategy) scatterStage {
 // a uniform one-shot sample the mass ratio collapses to the historical
 // heavy-sample fraction; adaptive densities sharpen it, because heavy
 // ranges' masses are estimated at their own rates.) A probing or
-// counting route decides the whole input at once (one scatter node);
-// under ScatterDovetail the radix recursion keeps planning per node, and
+// counting route decides the whole input at once (one scatter node); on
+// the dovetail route the radix recursion keeps planning per node, and
 // its decisions merge into Stats.PlannerRoutes after Phase 4.
 func (pl *plan) planScatter() {
 	pl.strat = resolveScatter(&pl.cfg, float64(pl.heavyMass.Load()), pl.massTotal, pl.red != nil)
 	pl.stats.ScatterStrategy = pl.strat.String()
-	if pl.strat != ScatterDovetail {
+	if pl.strat != scatterDovetail {
 		pl.stats.PlannerRoutes.ScatterNodes = 1
 	}
 }
@@ -126,8 +128,8 @@ type plan struct {
 	rsGrain   int
 	numRuns   int
 	// Classification.
-	runGrain     int
-	runBlocks    int
+	runGrain    int
+	runBlocks   int
 	blockHeavy  []int32
 	heavyRuns   []heavyRun
 	numHeavy    int

@@ -5,10 +5,10 @@
 // one extra full write+read of the dataset. ReduceShared pushes the fold
 // into the phases instead:
 //
-//   - Heavy keys never occupy scatter slots at all. Each worker folds the
-//     heavy records it encounters into a private accumulator cell (one
-//     cell per heavy bucket per worker, no contention, no atomics); the
-//     pack phase merges the per-worker cells once with MergeFunc.
+//   - Heavy keys are never placed at all. Each worker folds the heavy
+//     records it encounters into a private accumulator cell (one cell per
+//     heavy bucket per worker, no contention, no atomics); the pack phase
+//     merges the per-worker cells once with MergeFunc.
 //
 //   - Light buckets reduce in-arena during Phase 4: the arena's naming
 //     table (the same flat open-addressing table countingSemisort uses)
@@ -16,26 +16,23 @@
 //     names, so a light bucket of k records with g groups writes g
 //     records instead of sorting and packing k.
 //
-//   - On the counting strategy, Histogram (FoldFunc == count) reuses the
-//     pass-1 histogram for the heavy counts: heavy records are neither
-//     staged nor folded — their multiplicity already exists — so a heavy-
-//     duplicate histogram touches each heavy record exactly once (the
-//     classify load in pass 1/2) and materializes nothing.
+//   - Histogram (FoldFunc == count) reuses the pass-1 histogram for the
+//     heavy counts: heavy records are neither staged nor folded — their
+//     multiplicity already exists — so a heavy-duplicate histogram
+//     touches each heavy record exactly once (the classify load in pass
+//     1/2) and materializes nothing.
 //
-// The fused path shares the Las Vegas ladder with the plain pipeline
-// (semisortInto): a bucket overflow clears the accumulator cells on retry
-// (ensureReduceState), so no record is ever folded twice, and ladder
-// exhaustion degrades to the sequential fallback followed by a run-walk
-// fold (reduceRuns).
+// The fused arms exist only on the counting scatter, which the planner
+// always picks for a fused reduce. Its offsets are exact, so no attempt
+// overflows; an attempt over Config.MaxSlotBytes degrades to the
+// sequential fallback followed by a run-walk fold (reduceRuns).
 package core
 
 import (
 	"errors"
 	"fmt"
 	"math/bits"
-	"sync/atomic"
 
-	"repro/internal/fault"
 	"repro/internal/hash"
 	"repro/internal/prim"
 	"repro/internal/rec"
@@ -65,31 +62,30 @@ type ReduceSpec struct {
 	Identity uint64
 	Fold     FoldFunc
 	Merge    MergeFunc
-	// Reset, when non-nil, is called once per Las Vegas attempt before
-	// any Fold (and once before the fallback's fold), so callers keeping
+	// Reset, when non-nil, is called once per attempt before any Fold
+	// (and once before the fallback's fold), so callers keeping
 	// per-attempt state behind the accumulators (the generic front-end's
-	// cell slab) can discard partial folds from an overflowed attempt.
+	// cell slab) can discard partial folds from an abandoned attempt.
 	Reset func()
 	// Histogram requests a pure multiplicity count (output Value = group
-	// size). On the counting strategy the heavy counts come straight from
-	// the scatter's pass-1 histogram and heavy records skip the fold
-	// entirely.
+	// size). The heavy counts come straight from the scatter's pass-1
+	// histogram and heavy records skip the fold entirely.
 	Histogram bool
 }
 
-func histFold(acc, _, _ uint64) uint64    { return acc + 1 }
-func histMerge(a, _, b, _ uint64) uint64  { return a + b }
+func histFold(acc, _, _ uint64) uint64   { return acc + 1 }
+func histMerge(a, _, b, _ uint64) uint64 { return a + b }
 
 // ReduceShared semisort-reduces a through ws: the output holds one record
 // per distinct key — Key the group's key, Value its final accumulator —
-// in the same group order a plain semisort would emit groups (heavy
-// buckets first, then light groups in first-appearance-per-bucket order).
-// reps parallels out with one original record Value per group (the
-// group's representative). Both slices are workspace-owned, valid until
-// the next call through ws. The input is never modified.
+// in the order the counting scatter emits groups (heavy buckets first,
+// then light groups in first-appearance-per-bucket order). reps
+// parallels out with one original record Value per group (the group's
+// representative). Both slices are workspace-owned, valid until the next
+// call through ws. The input is never modified.
 //
-// Reduce forces ProbeLinear: the alternative probe kinds parameterize
-// heavy-record placement, and the fused path never places heavy records.
+// The fused pipeline always runs the counting scatter: Config's
+// ScatterStrategy and Probe pins do not apply to it.
 func ReduceShared(ws *Workspace, a []rec.Record, cfg *Config, sp ReduceSpec) (out []rec.Record, reps []uint64, stats Stats, err error) {
 	if ws == nil {
 		ws = &Workspace{}
@@ -99,16 +95,11 @@ func ReduceShared(ws *Workspace, a []rec.Record, cfg *Config, sp ReduceSpec) (ou
 	} else if sp.Fold == nil || sp.Merge == nil {
 		return nil, nil, Stats{}, errors.New("semisort: reduce spec needs Fold and Merge (or Histogram)")
 	}
-	var c Config
-	if cfg != nil {
-		c = *cfg
-	}
-	c.Probe = ProbeLinear
 	// The spec lives in the workspace for the duration so storing it in
 	// the plan does not heap-allocate a copy per call; it is dropped
 	// before returning so a retained workspace never pins the closures.
 	ws.redSpec = sp
-	out, reps, stats, err = semisortInto(ws, ws.out, a, &c, true, &ws.redSpec)
+	out, reps, stats, err = semisortInto(ws, ws.out, a, cfg, true, &ws.redSpec)
 	ws.redSpec = ReduceSpec{}
 	return out, reps, stats, err
 }
@@ -147,11 +138,9 @@ func reduceRuns(ws *Workspace, sorted []rec.Record, sp *ReduceSpec) ([]rec.Recor
 }
 
 // ensureReduceState sizes the per-worker heavy accumulator cells for the
-// attempt and clears their used flags — the clear is what makes the Las
-// Vegas retry safe: an overflowed attempt's partial folds are abandoned
-// wholesale, never merged, so no record double-counts (reduce_test.go
-// pins this under fault injection). Called from allocatePhase once the
-// heavy bucket count is known.
+// attempt and clears their used flags, so no fold of an earlier attempt
+// or call is ever merged. Called from allocatePhase once the heavy
+// bucket count is known.
 func (pl *plan) ensureReduceState() {
 	ws := pl.ws
 	pl.redCells = pl.firstLight
@@ -233,142 +222,7 @@ func (ar *lsArena) reduceSeg(sp *ReduceSpec, seg []rec.Record, reps []uint64) in
 }
 
 // ---------------------------------------------------------------------------
-// Probing strategy, fused arms.
-
-func (pl *plan) probeReduceScatterBody() error {
-	return pl.parFor(pl.n, 8192, (*plan).probeReduceScatterChunk)
-}
-
-// probeReduceScatterChunk is probeScatterChunk with the heavy branch
-// folding into this worker's accumulator cells instead of placing: heavy
-// buckets have no slots under reduce (allocatePhase sizes them to zero).
-func (pl *plan) probeReduceScatterChunk(lo, hi int) {
-	if pl.overflow.Load() {
-		return
-	}
-	if fault.Should(fault.ProbeSaturation) {
-		bid, _ := pl.bucketOf(pl.a[lo])
-		pl.recordOverflow(bid)
-		return
-	}
-	exact := pl.cfg.ExactBucketSizes
-	sp := pl.red
-	slot := pl.ws.acquireRed()
-	base0 := slot * pl.redCells
-	accs := pl.redAccs[base0 : base0+pl.redCells]
-	crep := pl.redCellReps[base0 : base0+pl.redCells]
-	used := pl.redUsed[base0 : base0+pl.redCells]
-	localHeavy := int64(0)
-	localMaxRun := int64(0)
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
-	for base := lo; base < hi; base += probeBatch {
-		m := min(probeBatch, hi-base)
-		pl.bucketOfBatch(base, m, &bids, &heavy)
-		for u := 0; u < m; u++ {
-			i := base + u
-			r := pl.a[i]
-			bid := bids[u]
-			if heavy[u] {
-				localHeavy++
-				c := int(bid)
-				if used[c] == 0 {
-					used[c] = 1
-					crep[c] = r.Value
-					accs[c] = sp.Identity
-				}
-				accs[c] = sp.Fold(accs[c], crep[c], r.Value)
-				continue
-			}
-			bk := pl.buckets[bid]
-			pos := bucketPos(pl.scatterRNG.Rand(uint64(i)), bk.sz, exact)
-			placed := false
-			for try := uint64(0); try < bk.sz; try++ {
-				idx := bk.off + int64(pos)
-				if atomic.CompareAndSwapUint32(&pl.occ[idx], 0, 1) {
-					pl.slots[idx] = r
-					placed = true
-					if int64(try) > localMaxRun {
-						localMaxRun = int64(try)
-					}
-					break
-				}
-				pos++
-				if pos == bk.sz {
-					pos = 0
-				}
-			}
-			if !placed {
-				pl.ws.releaseRed(slot)
-				pl.recordOverflow(bid)
-				return
-			}
-		}
-	}
-	pl.ws.releaseRed(slot)
-	pl.heavyPlaced.Add(localHeavy)
-	for {
-		cur := pl.maxCluster.Load()
-		if localMaxRun <= cur || pl.maxCluster.CompareAndSwap(cur, localMaxRun) {
-			break
-		}
-	}
-}
-
-func (pl *plan) probeReduceBody() error {
-	return pl.parForEach(pl.lsRanges, 1, (*plan).probeReduceRange)
-}
-
-// probeReduceRange compacts each light bucket's occupied slots to the
-// bucket prefix (as the plain Phase 4 does) and then reduces the prefix
-// in place, leaving the bucket's groups at slots[bk.off:] and their
-// representatives at redStageReps[bk.off:].
-func (pl *plan) probeReduceRange(ri int) {
-	slot := pl.ws.acquireArena()
-	ar := &pl.ws.lsArenas[slot]
-	sp := pl.red
-	for j := int(pl.lsBounds[ri]); j < int(pl.lsBounds[ri+1]); j++ {
-		bk := pl.buckets[pl.firstLight+j]
-		lo, hi := bk.off, bk.off+int64(bk.sz)
-		w := lo
-		for i := lo; i < hi; i++ {
-			if pl.occ[i] != 0 {
-				pl.slots[w] = pl.slots[i]
-				w++
-			}
-		}
-		cnt := int64(w - lo)
-		pl.lightCnt[j] = int32(cnt)
-		m := ar.reduceSeg(sp, pl.slots[lo:lo+cnt], pl.redStageReps[lo:lo+cnt])
-		pl.redDistinct[j] = int32(m)
-	}
-	pl.ws.releaseArena(slot)
-}
-
-func (pl *plan) packReduceProbing() error {
-	var lightRecs int64
-	for j := 0; j < pl.numLightMerged; j++ {
-		lightRecs += int64(pl.lightCnt[j])
-	}
-	if got := pl.heavyPlaced.Load() + lightRecs; got != int64(pl.n) {
-		return fmt.Errorf("semisort internal error: fused reduce folded %d of %d records", got, pl.n)
-	}
-	return pl.packReduceCommon((*plan).packReduceLightProbe)
-}
-
-func (pl *plan) packReduceLightProbe(j int) {
-	m := int(pl.redDistinct[j])
-	if m == 0 {
-		return
-	}
-	bk := pl.buckets[pl.firstLight+j]
-	dst := pl.firstLight + int(pl.redOff[j])
-	copy(pl.out[dst:dst+m], pl.slots[bk.off:bk.off+int64(m)])
-	copy(pl.reps[dst:dst+m], pl.redStageReps[bk.off:bk.off+int64(m)])
-}
-
-// ---------------------------------------------------------------------------
-// Counting strategy, fused arms.
+// Fused arms of the counting scatter.
 
 // countingReduceScatterBody is countingScatterBody with two twists: the
 // bucket base scan zeroes the heavy prefix (heavy records fold into cells
@@ -463,14 +317,7 @@ func (pl *plan) countingReduceRange(ri int) {
 	pl.ws.releaseArena(slot)
 }
 
-func (pl *plan) packReduceCounting() error {
-	if got := pl.redHeavyRecs + pl.placedTotal; got != pl.n {
-		return fmt.Errorf("semisort internal error: fused reduce folded %d of %d records", got, pl.n)
-	}
-	return pl.packReduceCommon((*plan).packReduceLightCounting)
-}
-
-func (pl *plan) packReduceLightCounting(j int) {
+func (pl *plan) packReduceLight(j int) {
 	m := int(pl.redDistinct[j])
 	if m == 0 {
 		return
@@ -482,17 +329,16 @@ func (pl *plan) packReduceLightCounting(j int) {
 	copy(pl.reps[dst:dst+m], pl.redStageReps[lo:lo+m])
 }
 
-// ---------------------------------------------------------------------------
-// Shared fused pack.
-
-// packReduceCommon finishes the fused reduce: merge each heavy bucket's
+// packReduce finishes the fused reduce: merge each heavy bucket's
 // per-worker cells into one output record, then compact the light
 // buckets' reduced prefixes behind them (an exclusive scan over per-
 // bucket group counts gives the offsets). Group order is deterministic
 // given where the groups landed: heavy buckets in sample-run order, then
-// light buckets in hash order, each bucket's groups in the order the
-// reduce stage saw them.
-func (pl *plan) packReduceCommon(lightCopy func(*plan, int)) error {
+// light buckets in hash order, each bucket's groups in input order.
+func (pl *plan) packReduce() error {
+	if got := pl.redHeavyRecs + pl.placedTotal; got != pl.n {
+		return fmt.Errorf("semisort internal error: fused reduce folded %d of %d records", got, pl.n)
+	}
 	pl.redOff = grow(&pl.ws.redOff, pl.numLightMerged)
 	copy(pl.redOff, pl.redDistinct)
 	lightGroups := prim.ExclusiveScan(1, pl.redOff)
@@ -507,7 +353,7 @@ func (pl *plan) packReduceCommon(lightCopy func(*plan, int)) error {
 		// saw at least one record; an empty one is a classifier bug.
 		return fmt.Errorf("semisort internal error: %d heavy buckets saw no records in the fused reduce", bad)
 	}
-	pl.parForEachNoCtx(pl.numLightMerged, 64, lightCopy)
+	pl.parForEachNoCtx(pl.numLightMerged, 64, (*plan).packReduceLight)
 	pl.out = pl.out[:total]
 	pl.reps = pl.reps[:total]
 	pl.stats.ReducedGroups = total
@@ -521,7 +367,7 @@ func (pl *plan) packReduceHeavyCell(hb int) {
 	sp := pl.red
 	var acc, rp uint64
 	found := false
-	if pl.strat == ScatterCounting && sp.Histogram {
+	if sp.Histogram {
 		// The count was never folded: it is pass 1's per-bucket total.
 		acc = uint64(pl.counts[hb])
 		for s := 0; s < pl.redSlots; s++ {

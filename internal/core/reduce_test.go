@@ -1,10 +1,11 @@
 package core
 
 // Differential and recovery coverage for the fused collect-reduce
-// (reduce.go): every strategy × procs × distribution must agree with a
-// sequential map-built reference, the Las Vegas retry must never fold a
-// record twice, exhaustion must degrade to the run-walk fallback, and the
-// warm path must obey the steady-state allocation contract.
+// (reduce.go): every strategy pin × procs × distribution must agree with
+// a sequential map-built reference (a fused reduce runs the counting
+// scatter whatever the pin), the slot cap must degrade to the run-walk
+// fallback, and the warm path must obey the steady-state allocation
+// contract.
 
 import (
 	"errors"
@@ -13,7 +14,6 @@ import (
 	"testing"
 
 	"repro/internal/distgen"
-	"repro/internal/fault"
 	"repro/internal/rec"
 )
 
@@ -230,11 +230,9 @@ func TestReduceEdgeCases(t *testing.T) {
 	if len(out) != 1 || out[0] != (rec.Record{Key: 42, Value: 10000}) {
 		t.Fatalf("all-equal: out = %v, want one group {42, 10000}", out)
 	}
-	// The fused probing path gives heavy buckets no slots, so an input
-	// that is one heavy key needs (almost) no slot memory.
-	if stats.SlotsAllocated >= len(allEqual) {
-		t.Errorf("all-equal: SlotsAllocated = %d, want far below n=%d (heavy buckets are slotless)",
-			stats.SlotsAllocated, len(allEqual))
+	// A probing pin does not apply to a fused reduce.
+	if stats.ScatterStrategy != "counting" {
+		t.Errorf("all-equal: ScatterStrategy = %q under a probing pin, want counting", stats.ScatterStrategy)
 	}
 	if stats.HeavyRecords != len(allEqual) {
 		t.Errorf("all-equal: HeavyRecords = %d, want %d", stats.HeavyRecords, len(allEqual))
@@ -249,59 +247,12 @@ func TestReduceEdgeCases(t *testing.T) {
 	checkReduced(t, "all-distinct", out, reps, sum, vals)
 }
 
-// TestReduceRetryNoDoubleCount: injected Phase 3 failures force boosted
-// retries; the abandoned attempts' partial folds must not leak into the
-// final accumulators (the ensureReduceState clear).
-func TestReduceRetryNoDoubleCount(t *testing.T) {
-	a := distgen.Generate(2, 30000, distgen.Spec{Kind: distgen.Zipfian, Param: 100}, 13)
-	_, sum, vals := refAgg(a)
-	for _, tc := range []struct {
-		name  string
-		point fault.Point
-		times int
-	}{
-		{"probe-saturation", fault.ProbeSaturation, 1},
-		{"scatter-overflow", fault.ScatterOverflow, 2},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			withInjector(t, fault.New(1).Arm(tc.point, 0, tc.times))
-			out, reps, stats, err := ReduceShared(nil, a,
-				&Config{Procs: 2, MaxRetries: 5, ScatterStrategy: ScatterProbing}, sumSpec())
-			if err != nil {
-				t.Fatalf("reduce after %d injected %s: %v", tc.times, tc.name, err)
-			}
-			checkReduced(t, tc.name, out, reps, sum, vals)
-			if stats.Retries != tc.times {
-				t.Errorf("Retries = %d, want %d", stats.Retries, tc.times)
-			}
-			if stats.FallbackUsed {
-				t.Error("FallbackUsed = true, but a later attempt should have succeeded")
-			}
-		})
-	}
-}
-
-// TestReduceFallback: ladder exhaustion and the slot cap both degrade to
-// the sequential run-walk fold, still producing the reference reduction.
+// TestReduceFallback: the slot cap degrades to the sequential run-walk
+// fold, still producing the reference reduction, or to ErrOverflow when
+// the fallback is disabled.
 func TestReduceFallback(t *testing.T) {
 	a := distgen.Generate(2, 20000, distgen.Spec{Kind: distgen.Zipfian, Param: 100}, 15)
 	_, sum, vals := refAgg(a)
-
-	t.Run("exhaustion", func(t *testing.T) {
-		withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 100))
-		out, reps, stats, err := ReduceShared(nil, a,
-			&Config{Procs: 2, MaxRetries: 3, ScatterStrategy: ScatterProbing}, sumSpec())
-		if err != nil {
-			t.Fatalf("exhaustion with fallback enabled must succeed: %v", err)
-		}
-		checkReduced(t, "exhaustion", out, reps, sum, vals)
-		if !stats.FallbackUsed {
-			t.Error("FallbackUsed = false after every attempt overflowed")
-		}
-		if stats.ReducedGroups != len(out) {
-			t.Errorf("ReducedGroups = %d, want %d", stats.ReducedGroups, len(out))
-		}
-	})
 
 	t.Run("slot-cap", func(t *testing.T) {
 		out, reps, stats, err := ReduceShared(nil, a,
@@ -313,12 +264,14 @@ func TestReduceFallback(t *testing.T) {
 		if !stats.FallbackUsed {
 			t.Error("FallbackUsed = false under an unmeetable slot cap")
 		}
+		if stats.ReducedGroups != len(out) {
+			t.Errorf("ReducedGroups = %d, want %d", stats.ReducedGroups, len(out))
+		}
 	})
 
 	t.Run("disable-fallback", func(t *testing.T) {
-		withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 100))
 		out, _, _, err := ReduceShared(nil, a,
-			&Config{Procs: 2, MaxRetries: 2, DisableFallback: true, ScatterStrategy: ScatterProbing}, sumSpec())
+			&Config{Procs: 2, MaxSlotBytes: 512, DisableFallback: true}, sumSpec())
 		if !errors.Is(err, ErrOverflow) {
 			t.Fatalf("err = %v, want ErrOverflow", err)
 		}
@@ -328,27 +281,39 @@ func TestReduceFallback(t *testing.T) {
 	})
 }
 
-// TestReduceResetPerAttempt: Reset fires once per attempt (and once for
-// the fallback), giving spec owners their own partial-state discard hook.
+// TestReduceResetPerAttempt: Reset fires once per attempt and once for
+// the fallback, giving spec owners their own partial-state discard hook.
 func TestReduceResetPerAttempt(t *testing.T) {
 	a := distgen.Generate(2, 20000, distgen.Spec{Kind: distgen.Zipfian, Param: 100}, 19)
-	var resets atomic.Int64
-	sp := sumSpec()
-	sp.Reset = func() { resets.Add(1) }
-	withInjector(t, fault.New(1).Arm(fault.ScatterOverflow, 0, 2))
-	_, _, stats, err := ReduceShared(nil, a,
-		&Config{Procs: 2, MaxRetries: 5, ScatterStrategy: ScatterProbing}, sp)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got, want := resets.Load(), int64(stats.Attempts); got != want {
-		t.Errorf("Reset fired %d times over %d attempts, want one per attempt", got, want)
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"clean", Config{Procs: 2}},
+		{"slot-cap", Config{Procs: 2, MaxSlotBytes: 512}},
+	} {
+		var resets atomic.Int64
+		sp := sumSpec()
+		sp.Reset = func() { resets.Add(1) }
+		_, _, stats, err := ReduceShared(nil, a, &tc.cfg, sp)
+		if err != nil {
+			t.Fatalf("%s: %v", tc.name, err)
+		}
+		want := int64(stats.Attempts)
+		if stats.FallbackUsed {
+			want++
+		}
+		if got := resets.Load(); got != want {
+			t.Errorf("%s: Reset fired %d times over %d attempts (fallback %v), want %d",
+				tc.name, got, stats.Attempts, stats.FallbackUsed, want)
+		}
 	}
 }
 
 // TestReduceSteadyStateAllocs: a warm workspace reduce allocates nothing
-// (the output is workspace-owned) on either strategy and either
-// duplication regime, matching the SemisortShared contract.
+// (the output is workspace-owned) under either strategy pin (the probing
+// pin runs the counting arm too) and either duplication regime, matching
+// the SemisortShared contract.
 func TestReduceSteadyStateAllocs(t *testing.T) {
 	const n = 60000
 	for _, strat := range []ScatterStrategy{ScatterProbing, ScatterCounting} {

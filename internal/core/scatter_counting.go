@@ -1,6 +1,6 @@
 // Phase 3, counting placement: the deterministic two-pass alternative to
-// the CAS scatter (ScatterCounting, and the Auto pick under heavy
-// duplication).
+// the CAS scatter (ScatterCounting, and the planner's pick under heavy
+// duplication and for every fused reduce).
 //
 // Pass 1 splits the input into blocks and builds one bucket histogram per
 // block. Column-wise prefix sums over the per-block histograms — seeded
@@ -279,7 +279,7 @@ func (pl *plan) countingLocalSortRange(ri int) {
 // prefixes (reduce.go).
 func (countingStage) pack(pl *plan) error {
 	if pl.red != nil {
-		return pl.packReduceCounting()
+		return pl.packReduce()
 	}
 	if pl.placedTotal != pl.n {
 		return fmt.Errorf("semisort internal error: counting scatter placed %d of %d records", pl.placedTotal, pl.n)

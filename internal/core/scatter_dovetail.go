@@ -1,6 +1,5 @@
-// Phase 3, dovetail placement (ScatterDovetail): the skew-adaptive
-// hybrid's radix route, taken when the planner saw an (at most) lightly
-// duplicated sample.
+// Phase 3, dovetail placement: the planner's radix route, which
+// ScatterAuto takes when the sample is not duplicate-heavy.
 //
 // The scatter reuses the counting machinery (scatter_counting.go) over
 // cbins = firstLight+1 bins: one bin per heavy bucket in bucket-id
@@ -17,7 +16,8 @@
 // semisort: a top-down MSD radix recursion that re-samples at every
 // node and pulls that node's heavy keys out of its distribution pass.
 // Its out-of-place passes run against the workspace-owned radix
-// scratch, so warm runs allocate nothing. Phase 5 is the same placement
+// scratch and count tables, so warm runs allocate nothing at Procs == 1
+// and only the parallel passes' goroutines and closures above it. Phase 5 is the same placement
 // invariant check as the counting path — the scatter already packed.
 //
 // Determinism matches the counting scatter's: the split is stable in
@@ -40,7 +40,7 @@ import (
 // dovetailStage is the hybrid placement's scatterStage.
 type dovetailStage struct{}
 
-func (dovetailStage) strategy() ScatterStrategy { return ScatterDovetail }
+func (dovetailStage) strategy() ScatterStrategy { return scatterDovetail }
 
 func (dovetailStage) scatter(pl *plan) error {
 	pl.ensureOut()
@@ -201,7 +201,7 @@ func (pl *plan) dovetailLocalSortBody() error {
 	light := pl.out[pl.heavyEnd:]
 	if len(light) > 1 {
 		scratch := grow(&pl.ws.rxScratch, len(light))
-		if err := sortint.DovetailSemisortWith(pl.ctx, pl.procs, light, scratch, &pl.dov); err != nil {
+		if err := sortint.DovetailSemisortWith(pl.ctx, pl.procs, light, scratch, &pl.ws.dtScratch, &pl.dov); err != nil {
 			return err
 		}
 	}

@@ -24,17 +24,7 @@ func (probingStage) scatter(pl *plan) error {
 	if fault.Should(fault.ScatterOverflow) {
 		return &overflowError{buckets: map[int32]int32{0: 1}}
 	}
-	if pl.red != nil {
-		// Fused reduce (reduce.go): heavy records fold into per-worker
-		// cells, light records scatter as usual. ReduceShared forces
-		// ProbeLinear, so the block-rounds arm cannot be reached here.
-		if err := pl.tr.labeledPhase(pl, "scatter", (*plan).probeReduceScatterBody); err != nil {
-			return err
-		}
-		if pl.overflow.Load() {
-			return &overflowError{buckets: pl.ofBuckets}
-		}
-	} else if pl.cfg.Probe == ProbeBlockRounds {
+	if pl.cfg.Probe == ProbeBlockRounds {
 		if err := pl.tr.labeledPhase(pl, "scatter", (*plan).blockRoundsBody); err != nil {
 			return err
 		}
@@ -154,11 +144,6 @@ func (probingStage) localSort(pl *plan) error {
 	pl.lightCnt = grow(&pl.ws.lightCnt, pl.numLightMerged)
 	pl.planLightRanges((*plan).probeBucketWeight)
 	pl.ws.ensureArenas(pl.procs)
-	if pl.red != nil {
-		pl.redDistinct = grow(&pl.ws.redDistinct, pl.numLightMerged)
-		pl.redStageReps = grow(&pl.ws.redStageReps, int(pl.slotTotal))
-		return pl.tr.labeledPhase(pl, "reduce", (*plan).probeReduceBody)
-	}
 	return pl.tr.labeledPhase(pl, "localsort", (*plan).probeLocalSortBody)
 }
 
@@ -195,9 +180,6 @@ func (pl *plan) probeLocalSortRange(ri int) {
 // the already-compact light buckets, all into one contiguous output array
 // (Phase 5).
 func (probingStage) pack(pl *plan) error {
-	if pl.red != nil {
-		return pl.packReduceProbing()
-	}
 	pl.ensureOut()
 	pl.heavyTotal, pl.lightTotal = 0, 0
 	if err := pl.tr.labeledPhase(pl, "pack", (*plan).probePackBody); err != nil {

@@ -1,9 +1,10 @@
 package core
 
-// Duplication-spectrum differential suite for the skew-adaptive planner.
-// The sweep walks the distinct-key fraction from 2^0 (every key unique)
-// down to 2^-20 (massive duplication) and asserts, at every point, that
-// the dovetail route (a) groups exactly like the sequential reference,
+// Duplication-spectrum differential suite for the skew-adaptive planner,
+// the default placement (the zero Config, ScatterAuto). The sweep walks
+// the distinct-key fraction from 2^0 (every key unique) down to 2^-20
+// (massive duplication) and asserts, at every point, that the default
+// (a) groups exactly like the sequential reference,
 // (b) is byte-deterministic across worker counts, and (c) routes the way
 // the planner promises: radix-dominant on the near-unique end, a single
 // counting split on the duplicate-heavy end, with Stats.PlannerRoutes
@@ -38,9 +39,10 @@ func spectrumInput(n, exp int, seed int64) []rec.Record {
 }
 
 // TestDovetailDuplicationSpectrum is the full sweep: for each
-// (n, distinct-fraction) point the dovetail output is compared against
-// the sequential reference and against itself at GOMAXPROCS-style worker
-// counts 1, 2 and 8.
+// (n, distinct-fraction) point the default config's output is compared
+// against the sequential reference and against itself at worker counts
+// 1, 2 and 8 — byte-identical output across proc counts is a property
+// of the default.
 func TestDovetailDuplicationSpectrum(t *testing.T) {
 	for _, n := range []int{1000, 100000} {
 		for exp := 0; exp <= 20; exp += 4 {
@@ -51,7 +53,7 @@ func TestDovetailDuplicationSpectrum(t *testing.T) {
 			var first []rec.Record
 			for _, procs := range []int{1, 2, 8} {
 				label := fmt.Sprintf("n=%d/exp=%d/procs=%d", n, exp, procs)
-				out, stats, err := Semisort(a, &Config{Procs: procs, Seed: 11, ScatterStrategy: ScatterDovetail})
+				out, stats, err := Semisort(a, &Config{Procs: procs, Seed: 11})
 				if err != nil {
 					t.Fatalf("%s: %v", label, err)
 				}
@@ -127,7 +129,7 @@ func TestSpectrumPlannerFlip(t *testing.T) {
 	leftPureRadix := false
 	for exp := 0; exp <= 20; exp++ {
 		a := spectrumInput(n, exp, int64(7000+exp))
-		_, stats, err := Semisort(a, &Config{Procs: 4, Seed: 29, ScatterStrategy: ScatterDovetail})
+		_, stats, err := Semisort(a, &Config{Procs: 4, Seed: 29})
 		if err != nil {
 			t.Fatalf("exp=%d: %v", exp, err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"repro/internal/hashtable"
 	"repro/internal/rec"
+	"repro/internal/sortint"
 )
 
 // A Workspace owns every per-attempt buffer of the pipeline — sample
@@ -59,8 +60,9 @@ type Workspace struct {
 	// Phase 4, dovetail route: scratch for the radix recursion's
 	// out-of-place distribution passes over the light region (one record
 	// per light record; priced against Config.MaxSlotBytes by the
-	// allocate phase).
+	// allocate phase), and the recursion's count tables and run state.
 	rxScratch []rec.Record
+	dtScratch sortint.DovetailScratch
 
 	// Phase 4: per-worker local-sort arenas and the size-aware schedule's
 	// prefix-sum/boundary buffers (localsort.go).
@@ -281,7 +283,7 @@ func (w *Workspace) RetainedBytes() int64 {
 		cap(w.hist)+cap(w.counts)+cap(w.cbase)) * 4
 	n += int64(cap(w.heavyRuns))*16 + int64(cap(w.buckets))*16
 	n += int64(cap(w.slots))*16 + int64(cap(w.occ))*4
-	n += int64(cap(w.rxScratch)) * 16
+	n += int64(cap(w.rxScratch))*16 + w.dtScratch.RetainedBytes()
 	n += int64(cap(w.stageBuf))*16 + int64(cap(w.stageCnt))
 	arenas := w.lsArenas[:cap(w.lsArenas)]
 	for i := range arenas {
@@ -314,6 +316,7 @@ func (w *Workspace) Release() {
 	w.heavyRuns, w.lightCounts, w.lightBucketOf = nil, nil, nil
 	w.buckets, w.table, w.boost = nil, nil, nil
 	w.slots, w.occ, w.rxScratch = nil, nil, nil
+	w.dtScratch.Release()
 	w.hist, w.counts, w.cbase = nil, nil, nil
 	w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
@@ -346,6 +349,7 @@ func (w *Workspace) shrink(max int64) {
 		return
 	}
 	w.hist, w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil, nil
+	w.dtScratch.Release()
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
 	w.redAccs, w.redCellReps, w.redUsed, w.redFree = nil, nil, nil, nil
 	w.redDistinct, w.redOff = nil, nil

@@ -4,8 +4,9 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
-
+	"sync"
 	"sync/atomic"
+	"unsafe"
 
 	"repro/internal/fault"
 	"repro/internal/parallel"
@@ -62,11 +63,17 @@ func (s *DovetailStats) Add(other DovetailStats) {
 	s.HeavyKeysPlaced += other.HeavyKeysPlaced
 }
 
-// dtState carries the per-run shared state of a dovetail semisort:
-// routing counters, the cooperative-cancellation flag, and the first
-// error observed. Workers only ever set canceled and append counters, so
-// a stopped run leaves a (possibly ungrouped) permutation behind.
-type dtState struct {
+// DovetailScratch is the caller-owned working state of
+// DovetailSemisortWith beyond the record scratch: the routing counters,
+// the cooperative-cancellation flag and first error of a run, and a free
+// list of the working memory its parallel distribution passes need.
+// Reusing one across calls keeps a warm run off the heap except for the
+// goroutines and closures of its parallel passes. The zero value is
+// ready to use; one DovetailScratch serves one call at a time.
+//
+// Workers only ever set canceled and add to the counters, so a stopped
+// run leaves a (possibly ungrouped) permutation behind.
+type DovetailScratch struct {
 	procs    int
 	ctx      context.Context
 	radix    atomic.Int64
@@ -74,13 +81,31 @@ type dtState struct {
 	heavy    atomic.Int64
 	canceled atomic.Bool
 	// firstErr is written only by the worker that wins the canceled CAS
-	// in fail, and read only after all workers have joined — no mutex,
-	// which would leak the whole state struct to the heap via Lock's
-	// receiver and tax the zero-allocation serial path.
+	// in fail, and read only after all workers have joined.
 	firstErr error
+
+	// passes holds the working memory of finished parallel passes.
+	// Sibling nodes of a parallel node run their passes concurrently, so
+	// each takes one of its own; a warm scratch holds as many as the
+	// widest run needed, their count tables grown to the largest pass.
+	passMu sync.Mutex
+	passes []*dtPass
 }
 
-func (st *dtState) fail(err error) {
+// A dtPass is the working memory of one parallel distribution pass and
+// of the recursion below it: the node's heavy keys and byte mask, the
+// per-block count table the column-major scan turns into write cursors,
+// and the bin boundaries the children recurse on. Keeping all of it off
+// the node's stack frame keeps the pass closures from moving it to the
+// heap.
+type dtPass struct {
+	hk     [dtMaxHeavy]uint64
+	mask   [radixBuckets]uint16
+	starts [dtBins + 1]int
+	counts []int32
+}
+
+func (st *DovetailScratch) fail(err error) {
 	if st.canceled.CompareAndSwap(false, true) {
 		st.firstErr = err
 	}
@@ -91,7 +116,7 @@ func (st *dtState) fail(err error) {
 // reports whether the node must stop. A fired fault point whose OnFire
 // hook canceled the context reports the context error; an un-hooked
 // firing reports fault.ErrInjected.
-func (st *dtState) gate() bool {
+func (st *DovetailScratch) gate() bool {
 	if st.canceled.Load() {
 		return true
 	}
@@ -109,13 +134,46 @@ func (st *dtState) gate() bool {
 	return false
 }
 
-// DovetailSemisort is DovetailSemisortWith with a freshly allocated
-// scratch buffer and no cancellation.
+// pass takes a dtPass from the free list.
+func (st *DovetailScratch) pass() *dtPass {
+	st.passMu.Lock()
+	defer st.passMu.Unlock()
+	k := len(st.passes)
+	if k == 0 {
+		return new(dtPass)
+	}
+	p := st.passes[k-1]
+	st.passes = st.passes[:k-1]
+	return p
+}
+
+// release returns a dtPass to the free list.
+func (st *DovetailScratch) release(p *dtPass) {
+	st.passMu.Lock()
+	st.passes = append(st.passes, p)
+	st.passMu.Unlock()
+}
+
+// RetainedBytes reports the pass memory st keeps between calls.
+func (st *DovetailScratch) RetainedBytes() int64 {
+	var n int64
+	for _, p := range st.passes {
+		n += int64(unsafe.Sizeof(*p)) + int64(cap(p.counts))*4
+	}
+	return n
+}
+
+// Release drops the retained pass memory; the next parallel run regrows
+// what it needs.
+func (st *DovetailScratch) Release() { st.passes = nil }
+
+// DovetailSemisort is DovetailSemisortWith with freshly allocated scratch
+// and no cancellation.
 func DovetailSemisort(procs int, a []rec.Record, stats *DovetailStats) error {
 	if len(a) <= 1 {
 		return nil
 	}
-	return DovetailSemisortWith(context.Background(), procs, a, make([]rec.Record, len(a)), stats)
+	return DovetailSemisortWith(context.Background(), procs, a, make([]rec.Record, len(a)), nil, stats)
 }
 
 // DovetailSemisortWith groups a in place: on return (with a nil error)
@@ -125,49 +183,44 @@ func DovetailSemisort(procs int, a []rec.Record, stats *DovetailStats) error {
 // arrangement is a pure function of the input (proc-count independent).
 //
 // scratch must hold at least len(a) records; a shorter buffer is a
-// contract error wrapping ErrShortScratch, with a untouched. ctx may be
-// nil; a non-nil ctx is polled at every sampled node boundary and a
-// canceled run stops cooperatively, leaving a permutation of the input
+// contract error wrapping ErrShortScratch, with a untouched. ds holds
+// the rest of the run's working state; nil allocates a fresh one. ctx
+// may be nil; a non-nil ctx is polled at every sampled node boundary and
+// a canceled run stops cooperatively, leaving a permutation of the input
 // with no grouping guarantee, and returns the context error. stats, when
 // non-nil, accumulates routing counters.
-func DovetailSemisortWith(ctx context.Context, procs int, a, scratch []rec.Record, stats *DovetailStats) error {
+func DovetailSemisortWith(ctx context.Context, procs int, a, scratch []rec.Record, ds *DovetailScratch, stats *DovetailStats) error {
 	if len(a) <= 1 {
 		return nil
 	}
 	if len(scratch) < len(a) {
 		return fmt.Errorf("%w: have %d records, need %d", ErrShortScratch, len(scratch), len(a))
 	}
-	procs = parallel.Procs(procs)
-	if procs == 1 {
-		// Closure-free serial recursion, for the same reason as
-		// u64SortSerial: body closures can escape into the limiter's work
-		// list, so the generic path allocates per node even with a nil
-		// limiter. A warm single-worker dovetail run must allocate nothing.
-		var st dtState
-		st.procs = 1
-		st.ctx = ctx
-		dtSerial(&st, a, scratch[:len(a)], 64-radixBits)
-		return dtFinish(&st, stats)
+	if ds == nil {
+		ds = &DovetailScratch{}
 	}
-	st := &dtState{procs: procs, ctx: ctx}
-	lim := parallel.NewLimiter(procs)
-	dtSortInPlace(st, lim, a, scratch[:len(a)], 64-radixBits)
-	return dtFinish(st, stats)
-}
-
-func dtFinish(st *dtState, stats *DovetailStats) error {
+	ds.procs = parallel.Procs(procs)
+	ds.ctx = ctx
+	ds.radix.Store(0)
+	ds.dovetail.Store(0)
+	ds.heavy.Store(0)
+	ds.canceled.Store(false)
+	ds.firstErr = nil
+	dtSortInPlace(ds, a, scratch[:len(a)], 64-radixBits)
 	if stats != nil {
-		stats.RadixNodes += st.radix.Load()
-		stats.DovetailNodes += st.dovetail.Load()
-		stats.HeavyKeysPlaced += st.heavy.Load()
+		stats.RadixNodes += ds.radix.Load()
+		stats.DovetailNodes += ds.dovetail.Load()
+		stats.HeavyKeysPlaced += ds.heavy.Load()
 	}
-	return st.firstErr
+	err := ds.firstErr
+	ds.ctx, ds.firstErr = nil, nil // do not pin the caller's context
+	return err
 }
 
 // dtSample gates the node and, when the run continues, samples for heavy
 // keys, updating the routing counters. It returns the heavy count and
 // whether the node must stop.
-func dtSample(st *dtState, a []rec.Record, hk *[dtMaxHeavy]uint64) (nh int, stop bool) {
+func dtSample(st *DovetailScratch, a []rec.Record, hk *[dtMaxHeavy]uint64) (nh int, stop bool) {
 	if st.gate() {
 		return 0, true
 	}
@@ -213,116 +266,80 @@ func dtSampleHeavy(a []rec.Record, hk *[dtMaxHeavy]uint64) int {
 	return nh
 }
 
+// dtParallel reports whether a node of n records runs the parallel
+// recursion; smaller nodes (and every node of a one-worker run) take the
+// closure-free serial recursion, which allocates nothing.
+func dtParallel(st *DovetailScratch, n int) bool {
+	return st.procs > 1 && n >= seqCutoff
+}
+
 // dtSortInPlace groups a by the bytes at shift, shift-8, ...; the result
 // ends in a. scratch is clobbered.
-func dtSortInPlace(st *dtState, lim parallel.Joiner, a, scratch []rec.Record, shift int) {
-	n := len(a)
-	if n <= smallCutoff {
-		insertionSort(a)
+func dtSortInPlace(st *DovetailScratch, a, scratch []rec.Record, shift int) {
+	if !dtParallel(st, len(a)) || shift < 0 {
+		dtSerial(st, a, scratch, shift)
 		return
 	}
-	if shift < 0 {
-		return // keys in this segment are equal: already one group
-	}
-	var hk [dtMaxHeavy]uint64
-	nh := 0
-	if n >= dtSampleCutoff {
-		var stop bool
-		if nh, stop = dtSample(st, a, &hk); stop {
-			return
-		}
-	}
-	if nh == 0 {
-		starts := radixPass(st.procs, a, scratch, shift)
-		recurseBuckets(st.procs, lim, starts, func(lo, hi int) {
-			if hi-lo == 1 {
-				a[lo] = scratch[lo]
-				return
-			}
-			dtSortInto(st, lim, scratch[lo:hi], a[lo:hi], shift-radixBits)
-		})
+	p := st.pass()
+	nh, stop := dtSample(st, a, &p.hk)
+	if stop {
+		st.release(p)
 		return
 	}
 	st.heavy.Add(int64(nh))
-	starts := dovetailPass(st.procs, a, scratch, shift, hk[:nh])
+	dovetailPass(st, p, nh, a, scratch, shift)
 	// The heavy region is final: move it home once, never touch it again.
-	heavyEnd := starts[nh]
-	if heavyEnd >= seqCutoff && lim.Parallel() {
+	if heavyEnd := p.starts[nh]; heavyEnd >= seqCutoff {
 		parallel.For(st.procs, heavyEnd, 1<<14, func(lo, hi int) {
 			copy(a[lo:hi], scratch[lo:hi])
 		})
 	} else {
 		copy(a[:heavyEnd], scratch[:heavyEnd])
 	}
-	dtRecurseLight(lim, &starts, nh, func(lo, hi int) {
+	dtRecurseLight(st, p, nh, func(lo, hi int) {
 		if hi-lo == 1 {
 			a[lo] = scratch[lo]
 			return
 		}
-		dtSortInto(st, lim, scratch[lo:hi], a[lo:hi], shift-radixBits)
+		dtSortInto(st, scratch[lo:hi], a[lo:hi], shift-radixBits)
 	})
+	st.release(p)
 }
 
 // dtSortInto groups src by the bytes at shift, shift-8, ...; the result
 // ends in dst. src is clobbered. len(src) == len(dst).
-func dtSortInto(st *dtState, lim parallel.Joiner, src, dst []rec.Record, shift int) {
-	n := len(src)
-	if n <= smallCutoff {
-		copy(dst, src)
-		insertionSort(dst)
+func dtSortInto(st *DovetailScratch, src, dst []rec.Record, shift int) {
+	if !dtParallel(st, len(src)) || shift < 0 {
+		dtSerialInto(st, src, dst, shift)
 		return
 	}
-	if shift < 0 {
-		copy(dst, src)
-		return
-	}
-	var hk [dtMaxHeavy]uint64
-	nh := 0
-	if n >= dtSampleCutoff {
-		var stop bool
-		if nh, stop = dtSample(st, src, &hk); stop {
-			copy(dst, src) // keep dst a permutation on a stopped run
-			return
-		}
-	}
-	if nh == 0 {
-		starts := radixPass(st.procs, src, dst, shift)
-		recurseBuckets(st.procs, lim, starts, func(lo, hi int) {
-			dtSortInPlace(st, lim, dst[lo:hi], src[lo:hi], shift-radixBits)
-		})
+	p := st.pass()
+	nh, stop := dtSample(st, src, &p.hk)
+	if stop {
+		st.release(p)
+		copy(dst, src) // keep dst a permutation on a stopped run
 		return
 	}
 	st.heavy.Add(int64(nh))
-	starts := dovetailPass(st.procs, src, dst, shift, hk[:nh])
-	// Heavy records landed in dst already — final.
-	dtRecurseLight(lim, &starts, nh, func(lo, hi int) {
-		dtSortInPlace(st, lim, dst[lo:hi], src[lo:hi], shift-radixBits)
+	// Heavy records land in dst already — final.
+	dovetailPass(st, p, nh, src, dst, shift)
+	dtRecurseLight(st, p, nh, func(lo, hi int) {
+		dtSortInPlace(st, dst[lo:hi], src[lo:hi], shift-radixBits)
 	})
+	st.release(p)
 }
 
 // dtRecurseLight invokes body on every non-empty light (byte) bin of a
-// dovetail pass, in parallel for large inputs; heavy bins are skipped.
-func dtRecurseLight(lim parallel.Joiner, starts *[dtBins + 1]int, nh int, body func(lo, hi int)) {
-	lightN := starts[nh+radixBuckets] - starts[nh]
-	if !lim.Parallel() || lightN < seqCutoff {
-		for b := nh; b < nh+radixBuckets; b++ {
-			if starts[b+1] > starts[b] {
-				body(starts[b], starts[b+1])
+// parallel dovetail pass, the workers claiming bins one at a time; heavy
+// bins are skipped.
+func dtRecurseLight(st *DovetailScratch, p *dtPass, nh int, body func(lo, hi int)) {
+	parallel.For(st.procs, radixBuckets, 1, func(blo, bhi int) {
+		for b := nh + blo; b < nh+bhi; b++ {
+			if p.starts[b+1] > p.starts[b] {
+				body(p.starts[b], p.starts[b+1])
 			}
 		}
-		return
-	}
-	var fns []func()
-	for b := nh; b < nh+radixBuckets; b++ {
-		lo, hi := starts[b], starts[b+1]
-		switch {
-		case hi-lo == 1:
-			body(lo, hi)
-		case hi-lo > 1:
-			fns = append(fns, func() { body(lo, hi) })
-		}
-	}
-	lim.JoinAll(fns...)
+	})
 }
 
 // dtMask builds the byte -> heavy-index bitmask table for a pass: bit j of
@@ -347,40 +364,39 @@ func dtResolve(m uint16, k uint64, hk []uint64, light int) int {
 	return light
 }
 
-// dovetailPass distributes src into dst with len(hk) heavy bins first —
-// records whose key equals hk[j] land in bin j — followed by the 256 byte
-// bins at shift. hk is ascending, 1 <= len(hk) <= dtMaxHeavy. The pass is
-// stable; bins beyond nh+255 are unused (starts stays flat at n). Like
-// radixPass, large inputs parallelize over blocks with a column-major
-// exclusive scan, so the layout is identical at any proc count.
-func dovetailPass(procs int, src, dst []rec.Record, shift int, hk []uint64) [dtBins + 1]int {
+// dovetailPass is the parallel distribution pass of a node: it
+// distributes src into dst with nh heavy bins first — records whose key
+// equals p.hk[j] land in bin j — followed by the 256 byte bins at shift,
+// leaving the bin boundaries in p.starts. p.hk[:nh] is ascending,
+// 0 <= nh <= dtMaxHeavy; with no heavy key it is a plain radix pass. The
+// pass is stable; bins beyond nh+255 are unused (starts stays flat at
+// n). Blocks are histogrammed in parallel into p.counts, whose entries a
+// column-major exclusive scan turns into write cursors in place, so the
+// layout is identical at any proc count.
+func dovetailPass(st *DovetailScratch, p *dtPass, nh int, src, dst []rec.Record, shift int) {
 	n := len(src)
-	if procs == 1 || n < seqCutoff {
-		return dovetailPassSerial(src, dst, shift, hk)
-	}
-	nh := len(hk)
-	// mask, hk, nh and shift are captured by binOf below, which escapes
-	// into parallel.For — keep every serial pass out of this function so
-	// those captures never tax a single-worker run.
-	var mask [radixBuckets]uint16
-	dtMask(&mask, hk, shift)
-
-	var starts [dtBins + 1]int
+	hk := p.hk[:nh]
+	clear(p.mask[:])
+	dtMask(&p.mask, hk, shift)
 	binOf := func(k uint64) int {
 		b := int(k>>uint(shift)) & (radixBuckets - 1)
 		bin := nh + b
-		if m := mask[b]; m != 0 {
+		if m := p.mask[b]; m != 0 {
 			bin = dtResolve(m, k, hk, bin)
 		}
 		return bin
 	}
-	grain := parallel.Grain(n, procs, 1<<13)
+	grain := parallel.Grain(n, st.procs, 1<<13)
 	nblocks := (n + grain - 1) / grain
-	counts := make([][dtBins]int32, nblocks)
-	parallel.For(procs, nblocks, 1, func(lo, hi int) {
+	if cap(p.counts) < nblocks*dtBins {
+		p.counts = make([]int32, nblocks*dtBins)
+	}
+	tab := p.counts[:nblocks*dtBins]
+	clear(tab)
+	parallel.For(st.procs, nblocks, 1, func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			s, e := blk*grain, min((blk+1)*grain, n)
-			c := &counts[blk]
+			c := tab[blk*dtBins : (blk+1)*dtBins]
 			for i := s; i < e; i++ {
 				c[binOf(src[i].Key)]++
 			}
@@ -390,20 +406,20 @@ func dovetailPass(procs int, src, dst []rec.Record, shift int, hk []uint64) [dtB
 	// Column-major exclusive scan, heavy bins first, so the scatter below
 	// is stable and heavy records end up ahead of all light records.
 	sum := 0
-	offsets := make([][dtBins]int32, nblocks)
 	for b := 0; b < dtBins; b++ {
-		starts[b] = sum
+		p.starts[b] = sum
 		for blk := 0; blk < nblocks; blk++ {
-			offsets[blk][b] = int32(sum)
-			sum += int(counts[blk][b])
+			c := int(tab[blk*dtBins+b])
+			tab[blk*dtBins+b] = int32(sum)
+			sum += c
 		}
 	}
-	starts[dtBins] = sum
+	p.starts[dtBins] = sum
 
-	parallel.For(procs, nblocks, 1, func(lo, hi int) {
+	parallel.For(st.procs, nblocks, 1, func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
 			s, e := blk*grain, min((blk+1)*grain, n)
-			offs := &offsets[blk]
+			offs := tab[blk*dtBins : (blk+1)*dtBins]
 			for i := s; i < e; i++ {
 				bin := binOf(src[i].Key)
 				dst[offs[bin]] = src[i]
@@ -411,11 +427,10 @@ func dovetailPass(procs int, src, dst []rec.Record, shift int, hk []uint64) [dtB
 			}
 		}
 	})
-	return starts
 }
 
-// dovetailPassSerial is the closure-free one-worker dovetail pass; it is
-// also the serial branch of dovetailPass.
+// dovetailPassSerial is the closure-free one-worker dovetail pass of the
+// serial recursion.
 func dovetailPassSerial(src, dst []rec.Record, shift int, hk []uint64) [dtBins + 1]int {
 	n := len(src)
 	nh := len(hk)
@@ -455,9 +470,9 @@ func dovetailPassSerial(src, dst []rec.Record, shift int, hk []uint64) [dtBins +
 }
 
 // dtSerial is dtSortInPlace specialized to one worker with the recursion
-// inlined (no body closures, no limiter), so warm serial runs allocate
-// nothing.
-func dtSerial(st *dtState, a, scratch []rec.Record, shift int) {
+// inlined (no body closures), so it allocates nothing. It finishes every
+// node below seqCutoff and every node of a one-worker run.
+func dtSerial(st *DovetailScratch, a, scratch []rec.Record, shift int) {
 	n := len(a)
 	if n <= smallCutoff {
 		insertionSort(a)
@@ -502,7 +517,7 @@ func dtSerial(st *dtState, a, scratch []rec.Record, shift int) {
 }
 
 // dtSerialInto is dtSortInto specialized to one worker.
-func dtSerialInto(st *dtState, src, dst []rec.Record, shift int) {
+func dtSerialInto(st *DovetailScratch, src, dst []rec.Record, shift int) {
 	n := len(src)
 	if n <= smallCutoff {
 		copy(dst, src)

@@ -103,6 +103,46 @@ func TestDovetailSemisortDeterministicAcrossProcs(t *testing.T) {
 	}
 }
 
+// TestDovetailScratchNestedParallelReuse drives sibling parallel nodes
+// at once — every key shares one of two top bytes, so the root's two
+// children are each above the parallel cutoff and run their passes
+// concurrently from one DovetailScratch — and reuses the scratch across
+// calls. The output must match the one-worker run and stay grouped.
+func TestDovetailScratchNestedParallelReuse(t *testing.T) {
+	const n = 1 << 17
+	r := rand.New(rand.NewSource(31))
+	orig := make([]rec.Record, n)
+	for i := range orig {
+		top := uint64(1+r.Intn(2)) << 56
+		orig[i] = rec.Record{Key: top | r.Uint64()>>8, Value: uint64(i)}
+	}
+	ref := append([]rec.Record(nil), orig...)
+	if err := DovetailSemisort(1, ref, nil); err != nil {
+		t.Fatal(err)
+	}
+	scratch := make([]rec.Record, n)
+	var ds DovetailScratch
+	for call := 0; call < 3; call++ {
+		a := append([]rec.Record(nil), orig...)
+		if err := DovetailSemisortWith(context.Background(), 4, a, scratch, &ds, nil); err != nil {
+			t.Fatalf("call %d: %v", call, err)
+		}
+		for i := range a {
+			if a[i] != ref[i] {
+				t.Fatalf("call %d: procs=4 diverges from procs=1 at %d", call, i)
+			}
+		}
+		dtCheckGrouped(t, "nested", a, orig)
+	}
+	if ds.RetainedBytes() == 0 {
+		t.Error("warm scratch retains no pass memory after parallel runs")
+	}
+	ds.Release()
+	if got := ds.RetainedBytes(); got != 0 {
+		t.Errorf("RetainedBytes() = %d after Release, want 0", got)
+	}
+}
+
 func TestDovetailSemisortTinyAndEdge(t *testing.T) {
 	if err := DovetailSemisort(4, nil, nil); err != nil {
 		t.Fatal(err)
@@ -121,7 +161,7 @@ func TestDovetailSemisortTinyAndEdge(t *testing.T) {
 
 func TestDovetailSemisortShortScratch(t *testing.T) {
 	a := randRecords(10, 5, 1)
-	err := DovetailSemisortWith(context.Background(), 1, a, make([]rec.Record, 4), nil)
+	err := DovetailSemisortWith(context.Background(), 1, a, make([]rec.Record, 4), nil, nil)
 	if !errors.Is(err, ErrShortScratch) {
 		t.Fatalf("err = %v, want ErrShortScratch", err)
 	}
@@ -154,7 +194,7 @@ func TestDovetailSemisortCancellation(t *testing.T) {
 		a := append([]rec.Record(nil), orig...)
 		ctx, cancel := context.WithCancel(context.Background())
 		cancel()
-		err := DovetailSemisortWith(ctx, procs, a, make([]rec.Record, len(a)), nil)
+		err := DovetailSemisortWith(ctx, procs, a, make([]rec.Record, len(a)), nil, nil)
 		if !errors.Is(err, context.Canceled) {
 			t.Fatalf("p=%d: err = %v, want context.Canceled", procs, err)
 		}
@@ -170,7 +210,7 @@ func TestDovetailSemisortFaultInjection(t *testing.T) {
 		a := append([]rec.Record(nil), orig...)
 		inj := fault.New(1).Arm(fault.RadixNode, 0, 1)
 		fault.Enable(inj)
-		err := DovetailSemisortWith(context.Background(), procs, a, make([]rec.Record, len(a)), nil)
+		err := DovetailSemisortWith(context.Background(), procs, a, make([]rec.Record, len(a)), nil, nil)
 		fault.Disable()
 		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("p=%d: err = %v, want ErrInjected", procs, err)
@@ -189,9 +229,10 @@ func TestDovetailSemisortSerialZeroAlloc(t *testing.T) {
 	a := make([]rec.Record, len(orig))
 	scratch := make([]rec.Record, len(orig))
 	var st DovetailStats
+	var ds DovetailScratch
 	allocs := testing.AllocsPerRun(5, func() {
 		copy(a, orig)
-		if err := DovetailSemisortWith(context.Background(), 1, a, scratch, &st); err != nil {
+		if err := DovetailSemisortWith(context.Background(), 1, a, scratch, &ds, &st); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -210,11 +251,12 @@ func BenchmarkDovetailSemisort1M(b *testing.B) {
 			orig := randRecords(n, d.keyRange, 1)
 			a := make([]rec.Record, n)
 			scratch := make([]rec.Record, n)
+			var ds DovetailScratch
 			b.SetBytes(n * 16)
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				copy(a, orig)
-				if err := DovetailSemisortWith(context.Background(), 0, a, scratch, nil); err != nil {
+				if err := DovetailSemisortWith(context.Background(), 0, a, scratch, &ds, nil); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -51,9 +51,9 @@ func ReduceRecords(a []Record, r Reducer, cfg *Config) ([]Record, error) {
 }
 
 // Histogram counts key multiplicities fused: the result holds one record
-// per distinct key with Value its number of occurrences in a. On the
-// counting scatter strategy the heavy counts come straight from the
-// scatter's first-pass histogram, so heavy-duplicate inputs are counted
+// per distinct key with Value its number of occurrences in a. A fused
+// reduce always runs the counting scatter, whose first-pass histogram
+// supplies the heavy counts, so heavy-duplicate inputs are counted
 // without materializing anything.
 func Histogram(a []Record, cfg *Config) ([]Record, error) {
 	out, _, _, err := core.HistogramShared(nil, a, cfg)

@@ -17,7 +17,8 @@ type Record = rec.Record
 // Config tunes the algorithm; the zero value (and a nil *Config) selects
 // the paper's defaults: sampling probability 1/16, heavy threshold δ=16,
 // up to 2^16 light buckets, estimate constant c=1.25, slack 1.1, bucket
-// merging enabled, hybrid local sort and linear probing.
+// merging enabled and hybrid local sort, with the planner (ScatterAuto)
+// choosing the Phase 3 placement.
 type Config = core.Config
 
 // Stats reports what one semisort execution did: sample size, heavy/light
@@ -44,23 +45,24 @@ const (
 // ScatterStrategy selects the Phase 3 placement algorithm (see Config).
 type ScatterStrategy = core.ScatterStrategy
 
-// Scatter strategy options: Auto (the default) picks Counting when the
-// sample predicts heavy duplication and Probing otherwise; Probing and
-// Counting force one placement; Dovetail enables the skew-adaptive
-// hybrid, which routes duplicate-heavy inputs to the counting scatter
-// and everything else through a heavy-key split plus a top-down MSD
-// radix recursion (see Stats.PlannerRoutes for where records went).
+// Scatter strategy options. Auto (the default) is the planner: it sends
+// an input whose sample predicts heavy duplication to the counting
+// scatter and everything else through a heavy-key split plus a top-down
+// MSD radix recursion (the "dovetail" route; see Stats.PlannerRoutes for
+// where records went), and every fused reduce to counting. Probing pins
+// the paper's CAS scatter with its Las Vegas retry ladder — the
+// reproduction path of the paper's tables; Counting pins the two-pass
+// counting scatter.
 const (
 	ScatterAuto     = core.ScatterAuto
 	ScatterProbing  = core.ScatterProbing
 	ScatterCounting = core.ScatterCounting
-	ScatterDovetail = core.ScatterDovetail
 )
 
 // PlannerRoutes breaks down the skew-adaptive planner's routing
 // decisions for the attempt that produced the output (see
-// Stats.PlannerRoutes): the top-level probing/counting choice plus,
-// under ScatterDovetail, the radix recursion's per-node decisions.
+// Stats.PlannerRoutes): the top-level scatter/dovetail choice plus, on
+// the dovetail route, the radix recursion's per-node decisions.
 type PlannerRoutes = core.PlannerRoutes
 
 // ErrOverflow is returned (wrapped) if every Las Vegas retry overflowed a

@@ -34,7 +34,7 @@ func strategyInputs(n int) map[string][]Record {
 	return map[string][]Record{"heavy": heavy, "mixed": mixed, "distinct": distinct}
 }
 
-var allStrategies = []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting, ScatterDovetail}
+var allStrategies = []ScatterStrategy{ScatterAuto, ScatterProbing, ScatterCounting}
 
 func TestScatterStrategiesPublicAPI(t *testing.T) {
 	for name, in := range strategyInputs(20000) {
@@ -67,8 +67,9 @@ func TestScatterStrategiesPublicAPI(t *testing.T) {
 	}
 }
 
-// Auto must route heavy duplication to counting and distinct keys to
-// probing — the heuristic the config documentation promises.
+// Auto must route heavy duplication to counting, distinct keys to the
+// dovetail radix route, and every fused reduce to counting — the planner
+// the config documentation promises. Probing is a pin, never a pick.
 func TestAutoResolution(t *testing.T) {
 	in := strategyInputs(20000)
 	_, stats, err := RecordsWithStats(in["heavy"], &Config{Procs: 2})
@@ -82,16 +83,37 @@ func TestAutoResolution(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.ScatterStrategy != "probing" {
-		t.Errorf("distinct input resolved to %q, want probing", stats.ScatterStrategy)
+	if stats.ScatterStrategy != "dovetail" {
+		t.Errorf("distinct input resolved to %q, want dovetail", stats.ScatterStrategy)
+	}
+	sum := Reducer{
+		Fold:  func(acc, v uint64) uint64 { return acc + v },
+		Merge: func(a, b uint64) uint64 { return a + b },
+	}
+	for name, a := range in {
+		var s Sorter
+		_, stats, err := s.ReduceConfigShared(a, sum, &Config{Procs: 2})
+		if err != nil {
+			t.Fatalf("%s reduce: %v", name, err)
+		}
+		if stats.ScatterStrategy != "counting" {
+			t.Errorf("%s reduce resolved to %q, want counting", name, stats.ScatterStrategy)
+		}
+		_, stats, err = s.HistogramConfigShared(a, &Config{Procs: 2})
+		if err != nil {
+			t.Fatalf("%s histogram: %v", name, err)
+		}
+		if stats.ScatterStrategy != "counting" {
+			t.Errorf("%s histogram resolved to %q, want counting", name, stats.ScatterStrategy)
+		}
 	}
 }
 
 // Strategy resolution must be invariant across the sampling modes: the
 // heavy-mass signal the planner consumes comes from the estimator, so
 // one-shot, pilot-only, and cap-forced adaptive runs must all route
-// heavy duplication to counting and distinct keys to probing, grouping
-// correctly throughout.
+// heavy duplication to counting and distinct keys to the dovetail route,
+// grouping correctly throughout.
 func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 	in := strategyInputs(20000)
 	modes := []struct {
@@ -104,7 +126,7 @@ func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 		{"cap-forced", Config{SampleTolerance: 0.0001, SampleMaxRounds: 6}},
 	}
 	for _, m := range modes {
-		for name, want := range map[string]string{"heavy": "counting", "distinct": "probing"} {
+		for name, want := range map[string]string{"heavy": "counting", "distinct": "dovetail"} {
 			cfg := m.cfg
 			cfg.Procs = 2
 			out, stats, err := RecordsWithStats(in[name], &cfg)
@@ -122,13 +144,13 @@ func TestAutoResolutionAcrossSamplingModes(t *testing.T) {
 	}
 }
 
-// Dovetail is a planner, not a single placement: distinct keys must take
-// the radix route (Stats.ScatterStrategy "dovetail", radix nodes
+// The default is a planner, not a single placement: distinct keys must
+// take the radix route (Stats.ScatterStrategy "dovetail", radix nodes
 // recorded), while heavy duplication must be re-routed to the counting
 // scatter — the skew-adaptive promise, observable through PlannerRoutes.
 func TestDovetailResolution(t *testing.T) {
 	in := strategyInputs(20000)
-	_, stats, err := RecordsWithStats(in["distinct"], &Config{Procs: 2, ScatterStrategy: ScatterDovetail})
+	_, stats, err := RecordsWithStats(in["distinct"], &Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +160,7 @@ func TestDovetailResolution(t *testing.T) {
 	if stats.PlannerRoutes.RadixNodes == 0 || stats.PlannerRoutes.ScatterNodes != 0 {
 		t.Errorf("distinct input routed wrong: %+v", stats.PlannerRoutes)
 	}
-	_, stats, err = RecordsWithStats(in["heavy"], &Config{Procs: 2, ScatterStrategy: ScatterDovetail})
+	_, stats, err = RecordsWithStats(in["heavy"], &Config{Procs: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
