@@ -108,8 +108,15 @@ type RequestSpan struct {
 	// QueueWaitUS is the time spent waiting for a workspace, in
 	// microseconds (matching JSONSink's span convention).
 	QueueWaitUS int64 `json:"queue_wait_us"`
+	// ReadUS is the time spent reading and decoding the request body,
+	// one streamed step.
+	ReadUS int64 `json:"read_us"`
 	// SortUS is the time spent inside the semisort call itself.
 	SortUS int64 `json:"sort_us"`
+	// WriteUS is the time spent encoding and writing the response.
+	// Queue, read, sort and write are disjoint steps of the request;
+	// whatever of TotalUS they leave is the handler's own bookkeeping.
+	WriteUS int64 `json:"write_us"`
 	// TotalUS is the end-to-end handler time.
 	TotalUS int64 `json:"total_us"`
 	// Attempts and FallbackUsed surface the sort's recovery ladder.

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"sync"
 )
 
 // Length-prefixed batch framing for streaming records over pipes and
@@ -86,19 +87,74 @@ func ReadFrame(r io.Reader, dst []Record) ([]Record, error) {
 	if n > MaxFrameRecords {
 		return dst, fmt.Errorf("rec: frame header claims %d records, limit %d", n, MaxFrameRecords)
 	}
-	var buf [256 * RecordSize]byte
-	remaining := int(n)
-	for remaining > 0 {
-		c := min(remaining, len(buf)/RecordSize)
-		if _, err := io.ReadFull(r, buf[:c*RecordSize]); err != nil {
-			if err == io.EOF || err == io.ErrUnexpectedEOF {
-				return dst, fmt.Errorf("rec: frame truncated: got %d of %d records: %w",
-					int(n)-remaining, n, io.ErrUnexpectedEOF)
-			}
-			return dst, fmt.Errorf("rec: read frame payload: %w", err)
-		}
-		dst, _ = DecodeRecords(dst, buf[:c*RecordSize])
-		remaining -= c
+	want := int64(n) * RecordSize
+	dst, got, err := readChunks(r, dst, want)
+	if err != nil {
+		return dst, fmt.Errorf("rec: read frame payload: %w", err)
+	}
+	if got < want {
+		return dst, fmt.Errorf("rec: frame truncated: got %d of %d records: %w",
+			got/RecordSize, n, io.ErrUnexpectedEOF)
 	}
 	return dst, nil
+}
+
+// ReadRecords reads r to EOF and decodes it as a flat sequence of
+// records, appending them to dst (pass nil to allocate). It returns the
+// extended slice and the number of bytes read. It reads in fixed 64 KiB
+// chunks and decodes each chunk's whole records as it arrives, so memory
+// beyond dst stays at one chunk whatever the stream's length. A stream
+// whose length is not a multiple of RecordSize fails with the error
+// DecodeRecords gives for the same bytes; a read error other than io.EOF
+// is returned wrapped. On error, dst holds the whole records decoded so
+// far.
+func ReadRecords(r io.Reader, dst []Record) ([]Record, int64, error) {
+	dst, n, err := readChunks(r, dst, -1)
+	if err != nil {
+		return dst, n, fmt.Errorf("rec: read records: %w", err)
+	}
+	if n%RecordSize != 0 {
+		return dst, n, fmt.Errorf("rec: %d payload bytes is not a multiple of the %d-byte record size", n, RecordSize)
+	}
+	return dst, n, nil
+}
+
+// chunkBytes is the read size of readChunks: 4096 records.
+const chunkBytes = 4096 * RecordSize
+
+// chunkPool recycles readChunks' read buffers, so a warm reader decodes
+// without allocating.
+var chunkPool = sync.Pool{New: func() any { return new([chunkBytes]byte) }}
+
+// readChunks is the decode loop behind ReadFrame and ReadRecords. It
+// reads r in chunks of up to chunkBytes until EOF or, when limit >= 0,
+// until limit bytes have been read, and appends every whole record to
+// dst. It returns the extended slice, the bytes read and the first read
+// error other than io.EOF. A tail shorter than one record is read but not
+// decoded; the caller sees it as a byte count that is not a multiple of
+// RecordSize.
+func readChunks(r io.Reader, dst []Record, limit int64) ([]Record, int64, error) {
+	buf := chunkPool.Get().(*[chunkBytes]byte)
+	defer chunkPool.Put(buf)
+	var n int64
+	fill := 0 // bytes held in buf; less than RecordSize between reads
+	for limit < 0 || n < limit {
+		end := len(buf)
+		if limit >= 0 {
+			end = int(min(int64(end), int64(fill)+limit-n))
+		}
+		m, err := r.Read(buf[fill:end])
+		n += int64(m)
+		fill += m
+		whole := fill - fill%RecordSize
+		dst, _ = DecodeRecords(dst, buf[:whole])
+		fill = copy(buf[:], buf[whole:fill])
+		if err == io.EOF {
+			break
+		}
+		if err != nil {
+			return dst, n, err
+		}
+	}
+	return dst, n, nil
 }

@@ -56,13 +56,6 @@ type DovetailStats struct {
 	HeavyKeysPlaced int64
 }
 
-// Add accumulates other into s.
-func (s *DovetailStats) Add(other DovetailStats) {
-	s.RadixNodes += other.RadixNodes
-	s.DovetailNodes += other.DovetailNodes
-	s.HeavyKeysPlaced += other.HeavyKeysPlaced
-}
-
 // DovetailScratch is the caller-owned working state of
 // DovetailSemisortWith beyond the record scratch: the routing counters,
 // the cooperative-cancellation flag and first error of a run, and a free

@@ -5,9 +5,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strconv"
+	"sync"
 	"time"
 
 	semisort "repro"
@@ -25,6 +25,9 @@ type sortResult struct {
 	err      error
 	panicked bool
 	panicVal any
+	// enc is the worker's encode buffer for the response, also valid
+	// until Release.
+	enc []byte
 }
 
 // sumReducer is the /v1/reduce op=sum aggregation: per key, the uint64
@@ -62,11 +65,11 @@ func (s *Server) runSort(ctx context.Context, wk *Worker, req *request) (res sor
 	)
 	switch req.op {
 	case "":
-		out, st, err = wk.sorter.SortConfigShared(req.recs, &cfg)
+		out, st, err = wk.sorter.SortConfigShared(req.in.recs, &cfg)
 	case "count":
-		out, st, err = wk.sorter.HistogramConfigShared(req.recs, &cfg)
+		out, st, err = wk.sorter.HistogramConfigShared(req.in.recs, &cfg)
 	case "sum":
-		out, st, err = wk.sorter.ReduceConfigShared(req.recs, sumReducer, &cfg)
+		out, st, err = wk.sorter.ReduceConfigShared(req.in.recs, sumReducer, &cfg)
 	default:
 		// handleReduce validates the op before admission; reaching here is
 		// a programming error, reported rather than panicking.
@@ -76,22 +79,41 @@ func (s *Server) runSort(ctx context.Context, wk *Worker, req *request) (res sor
 	return res
 }
 
+// ingestBuf is the decoded-record buffer of one request. ingestPool
+// recycles them, so a warm server decodes a body into capacity an
+// earlier request already grew instead of growing a fresh slice.
+type ingestBuf struct {
+	recs []semisort.Record
+}
+
+var ingestPool = sync.Pool{New: func() any { return new(ingestBuf) }}
+
 // request is the per-request state threaded through the common pipeline
 // shared by the record-out and JSON-out endpoints.
 type request struct {
 	span    obsv.RequestSpan
 	tenant  string
-	recs    []semisort.Record
+	in      *ingestBuf
 	started time.Time
+	cancel  context.CancelFunc
 	// op selects the worker-side operation: "" for a plain semisort,
 	// "count" or "sum" for the /v1/reduce aggregations.
 	op string
 }
 
+// done ends the request: it cancels the request context and returns the
+// ingest buffer to the pool. Handlers defer it, so it runs after the
+// response, success or error, has been written.
+func (req *request) done() {
+	req.cancel()
+	ingestPool.Put(req.in)
+}
+
 // accept runs the shared front half of every sort endpoint: fault check,
 // tenant/deadline extraction, body decode. It returns a nil request after
-// writing an error response itself.
-func (s *Server) accept(w http.ResponseWriter, r *http.Request) (*request, context.Context, context.CancelFunc) {
+// writing an error response itself; otherwise the caller must call the
+// request's done method.
+func (s *Server) accept(w http.ResponseWriter, r *http.Request) (*request, context.Context) {
 	req := &request{started: time.Now()}
 	req.span = obsv.RequestSpan{
 		Seq:   s.seq.Add(1),
@@ -100,11 +122,11 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request) (*request, conte
 	}
 	if s.draining.Load() {
 		s.finish(w, req, http.StatusServiceUnavailable, obsv.ReqShed, "draining")
-		return nil, nil, nil
+		return nil, nil
 	}
 	if fault.Should(fault.ServerAccept) {
 		s.finish(w, req, http.StatusInternalServerError, obsv.ReqError, "injected accept fault")
-		return nil, nil, nil
+		return nil, nil
 	}
 	req.tenant = r.Header.Get("X-Semisort-Tenant")
 	if req.tenant == "" {
@@ -117,35 +139,43 @@ func (s *Server) accept(w http.ResponseWriter, r *http.Request) (*request, conte
 		v, err := strconv.ParseInt(ms, 10, 64)
 		if err != nil || v <= 0 {
 			s.finish(w, req, http.StatusBadRequest, obsv.ReqBadInput, "bad timeout_ms")
-			return nil, nil, nil
+			return nil, nil
 		}
 		if d := time.Duration(v) * time.Millisecond; d < timeout {
 			timeout = d
 		}
 	}
 
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes))
+	// A declared length over the cap is refused before any body byte is
+	// read; MaxBytesReader still caps chunked bodies and bodies without a
+	// length.
+	if r.ContentLength > s.cfg.MaxRequestBytes {
+		s.finish(w, req, http.StatusRequestEntityTooLarge, obsv.ReqBadInput,
+			fmt.Sprintf("request body of %d bytes exceeds the %d-byte limit", r.ContentLength, s.cfg.MaxRequestBytes))
+		return nil, nil
+	}
+	readStart := time.Now()
+	req.in = ingestPool.Get().(*ingestBuf)
+	var err error
+	req.in.recs, req.span.BytesIn, err = rec.ReadRecords(http.MaxBytesReader(w, r.Body, s.cfg.MaxRequestBytes), req.in.recs[:0])
+	req.span.ReadUS = time.Since(readStart).Microseconds()
 	if err != nil {
 		status := http.StatusBadRequest
 		var tooBig *http.MaxBytesError
 		if errors.As(err, &tooBig) {
 			status = http.StatusRequestEntityTooLarge
 		}
-		s.finish(w, req, status, obsv.ReqBadInput, fmt.Sprintf("read body: %v", err))
-		return nil, nil, nil
+		s.finish(w, req, status, obsv.ReqBadInput, err.Error())
+		ingestPool.Put(req.in)
+		return nil, nil
 	}
-	req.span.BytesIn = int64(len(body))
-	req.recs, err = rec.DecodeRecords(nil, body)
-	if err != nil {
-		s.finish(w, req, http.StatusBadRequest, obsv.ReqBadInput, err.Error())
-		return nil, nil, nil
-	}
-	req.span.Records = len(req.recs)
+	req.span.Records = len(req.in.recs)
 
 	// The request context combines the server base context (drain), the
 	// client connection (disconnect) and the per-request deadline.
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
-	return req, ctx, cancel
+	req.cancel = cancel
+	return req, ctx
 }
 
 // sortThrough runs admission + sort for req and hands the result to emit
@@ -211,7 +241,10 @@ func (s *Server) sortThrough(w http.ResponseWriter, req *request, ctx context.Co
 
 	req.span.Attempts = res.stats.Attempts
 	req.span.FallbackUsed = res.stats.FallbackUsed
+	res.enc = wk.enc
+	writeStart := time.Now()
 	n, werr := emit(res)
+	req.span.WriteUS = time.Since(writeStart).Microseconds()
 	req.span.BytesOut = n
 	s.pool.Release(wk, req.tenant, false)
 	if werr != nil {
@@ -241,18 +274,18 @@ func (s *Server) finish(w http.ResponseWriter, req *request, status int, outcome
 	s.trace(req.span)
 }
 
-// emitRecords streams res.out as raw 16-byte records — the success
-// response of the record-out endpoints.
+// emitRecords streams res.out as raw 16-byte records, encoded through
+// the worker's buffer res.enc — the success response of the record-out
+// endpoints.
 func emitRecords(w http.ResponseWriter, res sortResult) (int64, error) {
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Header().Set("Content-Length", strconv.Itoa(len(res.out)*rec.RecordSize))
 	var written int64
-	const chunk = 4096
-	buf := make([]byte, 0, chunk*rec.RecordSize)
+	const chunk = encodeBytes / rec.RecordSize
 	out := res.out
 	for len(out) > 0 {
 		n := min(len(out), chunk)
-		buf = rec.AppendRecords(buf[:0], out[:n])
+		buf := rec.AppendRecords(res.enc[:0], out[:n])
 		m, err := w.Write(buf)
 		written += int64(m)
 		if err != nil {
@@ -266,11 +299,11 @@ func emitRecords(w http.ResponseWriter, res sortResult) (int64, error) {
 // handleSemisort is POST /v1/semisort: raw 16-byte records in, the same
 // records semisorted out.
 func (s *Server) handleSemisort(w http.ResponseWriter, r *http.Request) {
-	req, ctx, cancel := s.accept(w, r)
+	req, ctx := s.accept(w, r)
 	if req == nil {
 		return
 	}
-	defer cancel()
+	defer req.done()
 	s.sortThrough(w, req, ctx, func(res sortResult) (int64, error) {
 		return emitRecords(w, res)
 	})
@@ -282,11 +315,11 @@ func (s *Server) handleSemisort(w http.ResponseWriter, r *http.Request) {
 // Value = the key's multiplicity) or "sum" (Value = the wrapping uint64
 // sum of the key's record values). Any other op is a 400.
 func (s *Server) handleReduce(w http.ResponseWriter, r *http.Request) {
-	req, ctx, cancel := s.accept(w, r)
+	req, ctx := s.accept(w, r)
 	if req == nil {
 		return
 	}
-	defer cancel()
+	defer req.done()
 	switch op := r.URL.Query().Get("op"); op {
 	case "", "count":
 		req.op = "count"
@@ -316,11 +349,11 @@ type groupSummary struct {
 // summary out (group count, largest group, recovery footprint) — the
 // collect-style endpoint for clients that want aggregates, not bytes.
 func (s *Server) handleGroupBy(w http.ResponseWriter, r *http.Request) {
-	req, ctx, cancel := s.accept(w, r)
+	req, ctx := s.accept(w, r)
 	if req == nil {
 		return
 	}
-	defer cancel()
+	defer req.done()
 	s.sortThrough(w, req, ctx, func(res sortResult) (int64, error) {
 		sum := groupSummary{
 			Records:   len(res.out),

@@ -49,12 +49,20 @@ type Pool struct {
 type Worker struct {
 	id     int
 	sorter *semisort.Sorter
+	// enc is the buffer record responses are encoded through, encodeBytes
+	// long; like the sorter's output it is used only while the worker is
+	// held.
+	enc []byte
 	// retained is this worker's sorter scratch as of its last release,
 	// mirrored into the pool's RetainedBytes gauge and the per-tenant
 	// attribution (guarded by Pool.mu).
 	retained   int64
 	lastTenant string
 }
+
+// encodeBytes is the size of a worker's response encode buffer: 4096
+// records.
+const encodeBytes = 64 << 10
 
 // Sorter returns the workspace-owning sorter. Valid only between
 // Acquire and Release.
@@ -84,7 +92,7 @@ func newPool(pc poolConfig) *Pool {
 	}
 	for i := 0; i < pc.Size; i++ {
 		cfg := pc.BaseConfig
-		p.workers <- &Worker{id: i, sorter: semisort.NewSorter(&cfg)}
+		p.workers <- &Worker{id: i, sorter: semisort.NewSorter(&cfg), enc: make([]byte, 0, encodeBytes)}
 	}
 	return p
 }

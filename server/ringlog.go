@@ -143,15 +143,15 @@ func (l *RingLog) drain() bool {
 
 // emit formats one access-log line:
 //
-//	seq=12 path=/v1/semisort tenant=t0 status=200 outcome=ok records=4096 in=65536 out=65536 queue_us=12 sort_us=833 total_us=912
+//	seq=12 path=/v1/semisort tenant=t0 status=200 outcome=ok records=4096 in=65536 out=65536 queue_us=12 read_us=41 sort_us=833 write_us=20 total_us=912
 func (l *RingLog) emit(s obsv.RequestSpan) {
 	if l.w == nil {
 		return
 	}
 	_, err := fmt.Fprintf(l.w,
-		"seq=%d path=%s tenant=%s status=%d outcome=%s records=%d in=%d out=%d queue_us=%d sort_us=%d total_us=%d\n",
+		"seq=%d path=%s tenant=%s status=%d outcome=%s records=%d in=%d out=%d queue_us=%d read_us=%d sort_us=%d write_us=%d total_us=%d\n",
 		s.Seq, s.Path, s.Tenant, s.Status, s.Outcome, s.Records,
-		s.BytesIn, s.BytesOut, s.QueueWaitUS, s.SortUS, s.TotalUS)
+		s.BytesIn, s.BytesOut, s.QueueWaitUS, s.ReadUS, s.SortUS, s.WriteUS, s.TotalUS)
 	if err != nil {
 		l.errCnt.Add(1)
 	}
