@@ -265,58 +265,117 @@ func TestSharedOutputFedBackAsInput(t *testing.T) {
 	}
 }
 
+// retainedRoutes are the warm-workspace shapes of the retention tests:
+// an all-distinct input (the dovetail route's copy path, no bin-id
+// column), the counting pin on a heavy input, and the dovetail route
+// with heavy keys — the last two retain pass 1's bin-id column.
+func retainedRoutes(n int) []struct {
+	name  string
+	strat ScatterStrategy
+	data  []rec.Record
+} {
+	return []struct {
+		name  string
+		strat ScatterStrategy
+		data  []rec.Record
+	}{
+		{"light", ScatterAuto, distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: float64(n)}, 5)},
+		{"counting", ScatterCounting, allocDists(n)[0].data},
+		{"dovetail", ScatterAuto, dovetailDists(n)[0].data},
+	}
+}
+
+// checkBidsRetained fails unless a warm counting- or dovetail-route
+// workspace holds a bin-id column for every record and RetainedBytes
+// counts its 4 bytes per entry.
+func checkBidsRetained(t *testing.T, ws *Workspace, route string, n int) {
+	t.Helper()
+	if route == "light" {
+		return
+	}
+	c := cap(ws.bids)
+	if c < n {
+		t.Fatalf("bin-id column holds %d entries, want >= %d", c, n)
+	}
+	before := ws.RetainedBytes()
+	bids := ws.bids
+	ws.bids = nil
+	if got := before - ws.RetainedBytes(); got != 4*int64(c) {
+		t.Errorf("RetainedBytes counts %d bytes for the bin-id column, want %d", got, 4*c)
+	}
+	ws.bids = bids
+}
+
 func TestWorkspaceRelease(t *testing.T) {
-	a := distgen.Generate(2, 30000, distgen.Spec{Kind: distgen.Uniform, Param: 30000}, 5)
-	ws := &Workspace{}
-	if _, _, err := SemisortShared(ws, a, &Config{Procs: 2}); err != nil {
-		t.Fatal(err)
+	const n = 30000
+	for _, r := range retainedRoutes(n) {
+		t.Run(r.name, func(t *testing.T) {
+			cfg := &Config{Procs: 2, ScatterStrategy: r.strat}
+			ws := &Workspace{}
+			_, st, err := SemisortShared(ws, r.data, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAllocRoute(t, r.name, st)
+			if ws.RetainedBytes() == 0 {
+				t.Fatal("warm workspace reports zero retained bytes")
+			}
+			checkBidsRetained(t, ws, r.name, n)
+			ws.Release()
+			if got := ws.RetainedBytes(); got != 0 {
+				t.Fatalf("RetainedBytes() = %d after Release, want 0", got)
+			}
+			// The workspace must remain usable.
+			out, _, err := SemisortWS(ws, r.data, cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkSemisorted(t, "post-release", r.data, out)
+		})
 	}
-	if ws.RetainedBytes() == 0 {
-		t.Fatal("warm workspace reports zero retained bytes")
-	}
-	ws.Release()
-	if got := ws.RetainedBytes(); got != 0 {
-		t.Fatalf("RetainedBytes() = %d after Release, want 0", got)
-	}
-	// The workspace must remain usable.
-	out, _, err := SemisortWS(ws, a, &Config{Procs: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	checkSemisorted(t, "post-release", a, out)
 }
 
 func TestMaxRetainedBytes(t *testing.T) {
-	a := distgen.Generate(2, 30000, distgen.Spec{Kind: distgen.Uniform, Param: 30000}, 6)
-	ws := &Workspace{}
+	const n = 30000
+	for _, r := range retainedRoutes(n) {
+		t.Run(r.name, func(t *testing.T) {
+			ws := &Workspace{}
+			cfg := func(max int64) *Config {
+				return &Config{Procs: 2, ScatterStrategy: r.strat, MaxRetainedBytes: max}
+			}
 
-	// An unreachable cap drops everything.
-	if _, _, err := SemisortWS(ws, a, &Config{Procs: 2, MaxRetainedBytes: 1}); err != nil {
-		t.Fatal(err)
-	}
-	if got := ws.RetainedBytes(); got != 0 {
-		t.Fatalf("RetainedBytes() = %d under cap 1, want 0", got)
-	}
+			// An unreachable cap drops everything.
+			if _, _, err := SemisortWS(ws, r.data, cfg(1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := ws.RetainedBytes(); got != 0 {
+				t.Fatalf("RetainedBytes() = %d under cap 1, want 0", got)
+			}
 
-	// A generous cap must be respected while still retaining something.
-	const capBytes = 1 << 20
-	if _, _, err := SemisortWS(ws, a, &Config{Procs: 2, MaxRetainedBytes: capBytes}); err != nil {
-		t.Fatal(err)
-	}
-	got := ws.RetainedBytes()
-	if got > capBytes {
-		t.Fatalf("RetainedBytes() = %d, exceeds cap %d", got, capBytes)
-	}
-	if got == 0 {
-		t.Error("cap dropped everything; expected partial retention")
-	}
+			// A generous cap must be respected while still retaining something.
+			const capBytes = 1 << 20
+			if _, _, err := SemisortWS(ws, r.data, cfg(capBytes)); err != nil {
+				t.Fatal(err)
+			}
+			got := ws.RetainedBytes()
+			if got > capBytes {
+				t.Fatalf("RetainedBytes() = %d, exceeds cap %d", got, capBytes)
+			}
+			if got == 0 {
+				t.Error("cap dropped everything; expected partial retention")
+			}
 
-	// No cap: retention unconstrained and reused next call.
-	if _, _, err := SemisortWS(ws, a, &Config{Procs: 2}); err != nil {
-		t.Fatal(err)
-	}
-	if ws.RetainedBytes() == 0 {
-		t.Error("uncapped workspace retained nothing")
+			// No cap: retention unconstrained and reused next call.
+			_, st, err := SemisortWS(ws, r.data, cfg(0))
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAllocRoute(t, r.name, st)
+			if ws.RetainedBytes() == 0 {
+				t.Error("uncapped workspace retained nothing")
+			}
+			checkBidsRetained(t, ws, r.name, n)
+		})
 	}
 }
 

@@ -119,8 +119,9 @@ func (pl *plan) allocatePhase() error {
 
 	if pl.strat == ScatterCounting {
 		// The counting scatter writes straight into the output array, so
-		// the attempt allocates no slot slack — only the histogram and
-		// staging scratch, which the same memory cap governs.
+		// the attempt allocates no slot slack — only the histogram,
+		// bin-id column and staging scratch, which the same memory cap
+		// governs.
 		pl.cbins = len(buckets)
 		pl.cplan = planCounting(pl.n, pl.procs, pl.cbins)
 		if c.MaxSlotBytes > 0 && pl.cplan.scratchBytes > c.MaxSlotBytes {

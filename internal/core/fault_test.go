@@ -473,6 +473,31 @@ func TestDovetailSlotCapFallsBack(t *testing.T) {
 	}
 }
 
+// The price the allocate phase checks against MaxSlotBytes covers every
+// scratch byte the counting and dovetail scatters then allocate: the
+// per-block histograms, pass 1's bin-id column and the staging arena.
+func TestCountingScratchPriced(t *testing.T) {
+	const n, procs = 30000, 2
+	for _, r := range retainedRoutes(n)[1:] {
+		t.Run(r.name, func(t *testing.T) {
+			ws := &Workspace{}
+			_, st, err := SemisortWS(ws, r.data, &Config{Procs: procs, ScatterStrategy: r.strat})
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkAllocRoute(t, r.name, st)
+			priced := planCounting(n, procs, len(ws.counts)).scratchBytes
+			used := int64(cap(ws.hist)+cap(ws.bids))*4 + int64(cap(ws.stageBuf))*16 + int64(cap(ws.stageCnt))
+			if used > priced {
+				t.Errorf("scatter allocated %d scratch bytes, priced %d", used, priced)
+			}
+			if cap(ws.bids) < n {
+				t.Errorf("bin-id column holds %d entries, want %d", cap(ws.bids), n)
+			}
+		})
+	}
+}
+
 func TestRecoveryDisabledInjectorIsClean(t *testing.T) {
 	// A run right after injection is disabled must behave as if the fault
 	// package were never there.

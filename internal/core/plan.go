@@ -165,6 +165,7 @@ type plan struct {
 	cplan       countingPlan
 	cbins       int // histogram width of the counting passes
 	hist        []int32
+	bids        []uint32 // pass 1's bin id per record, replayed by pass 2
 	counts      []int32
 	cbase       []int32
 	flushes     atomic.Int64
@@ -251,7 +252,7 @@ func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttem
 	pl.ofBuckets = nil
 	pl.cplan = countingPlan{}
 	pl.cbins = 0
-	pl.hist, pl.counts, pl.cbase = nil, nil, nil
+	pl.hist, pl.bids, pl.counts, pl.cbase = nil, nil, nil, nil
 	pl.flushes.Store(0)
 	pl.placedTotal = 0
 	pl.heavyEnd = 0
@@ -291,7 +292,7 @@ func (pl *plan) clearRefs() {
 	pl.buckets, pl.table, pl.lightBucketOf = nil, nil, nil
 	pl.slots, pl.occ = nil, nil
 	pl.ofBuckets = nil
-	pl.hist, pl.counts, pl.cbase = nil, nil, nil
+	pl.hist, pl.bids, pl.counts, pl.cbase = nil, nil, nil, nil
 	pl.lsCum, pl.lsBounds = nil, nil
 	pl.lightCnt, pl.lightOffsets, pl.packCounts = nil, nil, nil
 	pl.red = nil
@@ -405,7 +406,7 @@ func (pl *plan) parForEachNoCtx(n, grain int, f func(*plan, int)) {
 }
 
 // bucketOf resolves a record to its bucket id and whether it took the
-// heavy path. Hot: called once (counting: twice) per record in Phase 3.
+// heavy path.
 //
 // lightBucketOf doubles as a dense heavy directory: ranges containing no
 // heavy key store their light bucket id directly, so the common case —
@@ -441,23 +442,26 @@ func (pl *plan) bucketOfSlow(k uint64) (int64, bool) {
 // single table-probe burst.
 const probeBatch = 16
 
-// bucketOfBatch resolves records a[base:base+m] (m ≤ probeBatch) into
-// bids/heavy, exactly as m bucketOf calls would. Records in unflagged
-// ranges resolve inline; the rest are gathered and resolved through one
-// hashtable.LookupBatch call, so their dependent probe loads overlap in
-// the memory system instead of serializing — the point of blocking the
-// scatter loops. All scratch is fixed-size and stack-allocated.
-func (pl *plan) bucketOfBatch(base, m int, bids *[probeBatch]int64, heavy *[probeBatch]bool) {
+// bucketOfBatch resolves records a[base:base+len(bids)] (len(bids) ≤
+// probeBatch) into bids, exactly as bucketOf calls would. Records in
+// unflagged ranges resolve inline; the rest are gathered and resolved
+// through one hashtable.LookupBatch call, so their dependent probe loads
+// overlap in the memory system instead of serializing — the point of
+// blocking the scatter loops. Heavy ids are < firstLight and light ids
+// >= firstLight (allocatePhase), so the id alone says which path a record
+// took. All scratch is fixed-size and stack-allocated.
+func (pl *plan) bucketOfBatch(base int, bids []uint32) {
 	var keys [probeBatch]uint64
 	var vals [probeBatch]uint64
 	var ok [probeBatch]bool
 	var slow [probeBatch]uint8
 	shift := pl.shift
+	a := pl.a[base : base+len(bids)]
 	nslow := 0
-	for i := 0; i < m; i++ {
-		k := pl.a[base+i].Key
+	for i := range bids {
+		k := a[i].Key
 		if v := pl.lightBucketOf[k>>shift]; v >= 0 {
-			bids[i], heavy[i] = int64(v), false
+			bids[i] = uint32(v)
 		} else {
 			keys[nslow] = k
 			slow[nslow] = uint8(i)
@@ -473,11 +477,11 @@ func (pl *plan) bucketOfBatch(base, m int, bids *[probeBatch]int64, heavy *[prob
 		k := keys[j]
 		switch {
 		case k == hashtable.Empty && pl.emptyKeyBucket >= 0:
-			bids[i], heavy[i] = pl.emptyKeyBucket, true
+			bids[i] = uint32(pl.emptyKeyBucket)
 		case ok[j]:
-			bids[i], heavy[i] = int64(vals[j]), true
+			bids[i] = uint32(vals[j])
 		default:
-			bids[i], heavy[i] = int64(^pl.lightBucketOf[k>>shift]), false
+			bids[i] = uint32(^pl.lightBucketOf[k>>shift])
 		}
 	}
 }

@@ -19,8 +19,9 @@
 //   - Histogram (FoldFunc == count) reuses the pass-1 histogram for the
 //     heavy counts: heavy records are neither staged nor folded — their
 //     multiplicity already exists — so a heavy-duplicate histogram
-//     touches each heavy record exactly once (the classify load in pass
-//     1/2) and materializes nothing.
+//     touches each heavy record exactly once (pass 1's classify load;
+//     pass 2 reads the memoized bucket id and loads a record only for a
+//     cell's first representative) and materializes nothing.
 //
 // The fused arms exist only on the counting scatter, which the planner
 // always picks for a fused reduce. Its offsets are exact, so no attempt
@@ -231,15 +232,9 @@ func (ar *lsArena) reduceSeg(sp *ReduceSpec, seg []rec.Record, reps []uint64) in
 // directly — the write-combining staging buffers batch stores into the
 // output array, which the fused path does not produce until pack.
 func (pl *plan) countingReduceScatterBody() error {
-	nb := len(pl.buckets)
-	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
-	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).countingHistChunk); err != nil {
+	if err := pl.countingHistPass(); err != nil {
 		return err
 	}
-	pl.counts = grow(&pl.ws.counts, nb)
-	pl.cbase = grow(&pl.ws.cbase, nb)
-	pl.parForNoCtx(nb, 512, (*plan).countingTotalsChunk)
-	copy(pl.cbase, pl.counts)
 	heavyRecs := 0
 	for b := 0; b < pl.firstLight; b++ {
 		heavyRecs += int(pl.cbase[b])
@@ -247,14 +242,18 @@ func (pl *plan) countingReduceScatterBody() error {
 	}
 	pl.redHeavyRecs = heavyRecs
 	pl.placedTotal = int(prim.ExclusiveScan(1, pl.cbase))
-	pl.parForNoCtx(nb, 512, (*plan).countingCursorChunk)
+	pl.parForNoCtx(pl.cbins, 512, (*plan).countingCursorChunk)
 	pl.redStage = grow(&pl.ws.redStage, pl.placedTotal)
 	pl.redStageReps = grow(&pl.ws.redStageReps, pl.placedTotal)
 	return pl.parFor(pl.cplan.nblocks, 1, (*plan).countingReducePassChunk)
 }
 
+// countingReducePassChunk is the fused pass 2: it replays pass 1's bucket
+// ids, folding heavy records (ids < firstLight) into this worker's cells
+// and staging light records at their bucket's cursor.
 func (pl *plan) countingReducePassChunk(blo, bhi int) {
-	nb := len(pl.buckets)
+	nb := pl.cbins
+	firstLight := uint32(pl.firstLight)
 	sp := pl.red
 	histOnly := sp.Histogram
 	slot := pl.ws.acquireRed()
@@ -262,38 +261,32 @@ func (pl *plan) countingReducePassChunk(blo, bhi int) {
 	accs := pl.redAccs[base0 : base0+pl.redCells]
 	crep := pl.redCellReps[base0 : base0+pl.redCells]
 	used := pl.redUsed[base0 : base0+pl.redCells]
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
 	for blk := blo; blk < bhi; blk++ {
 		offs := pl.hist[blk*nb : (blk+1)*nb]
 		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
-		for base := lo; base < hi; base += probeBatch {
-			m := min(probeBatch, hi-base)
-			pl.bucketOfBatch(base, m, &bids, &heavy)
-			for u := 0; u < m; u++ {
-				r := pl.a[base+u]
-				bid := bids[u]
-				if heavy[u] {
-					c := int(bid)
-					if histOnly {
-						// The count is already in pass 1's histogram; only
-						// a representative is still needed.
-						if used[c] == 0 {
-							used[c], crep[c] = 1, r.Value
-						}
-						continue
-					}
+		a, bids := pl.a[lo:hi], pl.bids[lo:hi]
+		for i, bid := range bids {
+			if bid < firstLight {
+				c := int(bid)
+				if histOnly {
+					// The count is already in pass 1's histogram; only
+					// a representative is still needed.
 					if used[c] == 0 {
-						used[c] = 1
-						crep[c] = r.Value
-						accs[c] = sp.Identity
+						used[c], crep[c] = 1, a[i].Value
 					}
-					accs[c] = sp.Fold(accs[c], crep[c], r.Value)
 					continue
 				}
-				pl.redStage[offs[bid]] = r
-				offs[bid]++
+				v := a[i].Value
+				if used[c] == 0 {
+					used[c] = 1
+					crep[c] = v
+					accs[c] = sp.Identity
+				}
+				accs[c] = sp.Fold(accs[c], crep[c], v)
+				continue
 			}
+			pl.redStage[offs[bid]] = a[i]
+			offs[bid]++
 		}
 	}
 	pl.ws.releaseRed(slot)

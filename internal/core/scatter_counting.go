@@ -2,14 +2,19 @@
 // the CAS scatter (ScatterCounting, and the planner's pick under heavy
 // duplication and for every fused reduce).
 //
-// Pass 1 splits the input into blocks and builds one bucket histogram per
-// block. Column-wise prefix sums over the per-block histograms — seeded
-// with an exclusive scan of the per-bucket totals — turn each histogram
-// row into a set of absolute write cursors, so pass 2 can copy every
-// record straight to its final position in the packed output array. The
-// offsets are exact: no CAS, no probing, no overflow, and therefore no
-// Las Vegas retry on this path. Phases 4 and 5 still run so traces keep
-// the six-phase shape — the local sort works in place in the output, and
+// Pass 1 splits the input into blocks, classifies every record once —
+// the batched heavy-directory lookup, else the light bucket of its hash
+// range — and builds one bucket histogram per block. Each record's bin id
+// is memoized in a workspace-owned column (Workspace.bids, 4 bytes per
+// record, priced against Config.MaxSlotBytes by planCounting), so pass 2
+// replays the column instead of probing the heavy table a second time.
+// Column-wise prefix sums over the per-block histograms — seeded with an
+// exclusive scan of the per-bucket totals — turn each histogram row into
+// a set of absolute write cursors, so pass 2 can copy every record
+// straight to its final position in the packed output array. The offsets
+// are exact: no CAS, no probing, no overflow, and therefore no Las Vegas
+// retry on this path. Phases 4 and 5 still run so traces keep the
+// six-phase shape — the local sort works in place in the output, and
 // packing is a no-op invariant check: the scatter already packed.
 //
 // The output is deterministic regardless of block boundaries or worker
@@ -62,8 +67,8 @@ type countingPlan struct {
 	// buffers; with more buckets than records per block the buffers would
 	// outweigh the writes they batch.
 	staged bool
-	// scratchBytes prices the per-block histograms plus (when staged) the
-	// per-worker staging buffers.
+	// scratchBytes prices the per-block histograms, the memoized bin-id
+	// column, and (when staged) the per-worker staging buffers.
 	scratchBytes int64
 }
 
@@ -75,7 +80,7 @@ func planCounting(n, procs, nb int) countingPlan {
 	}
 	staged := nb <= grain &&
 		int64(nb)*(countingStageSlots*16+1) <= countingStageMaxBytes
-	scratch := int64(nblocks) * int64(nb) * 4
+	scratch := int64(nblocks)*int64(nb)*4 + int64(n)*4
 	if staged {
 		// Each in-flight stage holds nb*countingStageSlots records plus
 		// one fill counter per bucket; at most procs are in flight.
@@ -111,46 +116,59 @@ func (countingStage) scatter(pl *plan) error {
 }
 
 // countingScatterBody runs both passes and the cursor conversion between
-// them. bucketOf must be pure and return ids in [0, len(buckets)).
+// them.
 func (pl *plan) countingScatterBody() error {
-	nb := pl.cbins
-	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
-
-	// Pass 1: one bucket histogram per block.
-	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).countingHistChunk); err != nil {
+	if err := pl.countingHistPass(); err != nil {
 		return err
 	}
-
-	// Per-bucket totals (column sums), bucket base offsets (their
-	// exclusive scan), then column-wise conversion of each block's
-	// histogram entry into an absolute write cursor.
-	pl.counts = grow(&pl.ws.counts, nb)
-	pl.cbase = grow(&pl.ws.cbase, nb)
-	pl.parForNoCtx(nb, 512, (*plan).countingTotalsChunk)
-	copy(pl.cbase, pl.counts)
+	// Bucket base offsets (the totals' exclusive scan), then column-wise
+	// conversion of each block's histogram entry into a write cursor.
 	pl.placedTotal = int(prim.ExclusiveScan(1, pl.cbase))
-	pl.parForNoCtx(nb, 512, (*plan).countingCursorChunk)
+	pl.parForNoCtx(pl.cbins, 512, (*plan).countingCursorChunk)
 
 	// Pass 2: copy records to their final positions, optionally through
 	// line-sized staging buffers.
 	if pl.cplan.staged {
-		pl.ws.ensureStages(pl.procs, nb)
+		pl.ws.ensureStages(pl.procs, pl.cbins)
 	}
 	return pl.parFor(pl.cplan.nblocks, 1, (*plan).countingPassChunk)
 }
 
+// countingHistPass runs pass 1 — classify, memoize the bin ids, build
+// the per-block histograms — then sums them into pl.counts and copies
+// the totals into pl.cbase, ready for the caller's base-offset scan.
+func (pl *plan) countingHistPass() error {
+	nb := pl.cbins
+	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
+	pl.bids = grow(&pl.ws.bids, pl.n)
+	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).countingHistChunk); err != nil {
+		return err
+	}
+	pl.counts = grow(&pl.ws.counts, nb)
+	pl.cbase = grow(&pl.ws.cbase, nb)
+	pl.parForNoCtx(nb, 512, (*plan).countingTotalsChunk)
+	copy(pl.cbase, pl.counts)
+	return nil
+}
+
+// countingHistChunk classifies each record of blocks [blo, bhi) once,
+// stores its bin id in pl.bids and counts it in its block's histogram.
+// Bucket ids clamp to the last bin: a no-op on the counting route, where
+// cbins == len(buckets), and the dovetail split's fold of every light
+// bucket (ids >= firstLight) into its catch-all bin firstLight.
 func (pl *plan) countingHistChunk(blo, bhi int) {
 	nb := pl.cbins
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
+	last := uint32(nb - 1)
 	for blk := blo; blk < bhi; blk++ {
 		h := pl.hist[blk*nb : (blk+1)*nb]
 		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
 		for base := lo; base < hi; base += probeBatch {
-			m := min(probeBatch, hi-base)
-			pl.bucketOfBatch(base, m, &bids, &heavy)
-			for u := 0; u < m; u++ {
-				h[bids[u]]++
+			bids := pl.bids[base:min(base+probeBatch, hi)]
+			pl.bucketOfBatch(base, bids)
+			for u, b := range bids {
+				b = min(b, last)
+				bids[u] = b
+				h[b]++
 			}
 		}
 	}
@@ -179,48 +197,38 @@ func (pl *plan) countingCursorChunk(lo, hi int) {
 	}
 }
 
+// countingPassChunk is pass 2: it replays pass 1's bin ids to copy each
+// record of blocks [blo, bhi) to its block's cursor for that bin.
 func (pl *plan) countingPassChunk(blo, bhi int) {
 	nb := pl.cbins
 	var nf int64
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
 	for blk := blo; blk < bhi; blk++ {
 		offs := pl.hist[blk*nb : (blk+1)*nb]
 		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
+		a, bids := pl.a[lo:hi], pl.bids[lo:hi]
 		if !pl.cplan.staged || fault.Should(fault.StageFlush) {
-			for base := lo; base < hi; base += probeBatch {
-				m := min(probeBatch, hi-base)
-				pl.bucketOfBatch(base, m, &bids, &heavy)
-				for u := 0; u < m; u++ {
-					bid := bids[u]
-					pl.out[offs[bid]] = pl.a[base+u]
-					offs[bid]++
-				}
+			for i, bid := range bids {
+				pl.out[offs[bid]] = a[i]
+				offs[bid]++
 			}
 			continue
 		}
 		slot := pl.ws.acquireStage()
 		buf := pl.ws.stageBuf[slot*nb*countingStageSlots : (slot+1)*nb*countingStageSlots]
 		cnt := pl.ws.stageCnt[slot*nb : (slot+1)*nb]
-		for base := lo; base < hi; base += probeBatch {
-			m := min(probeBatch, hi-base)
-			pl.bucketOfBatch(base, m, &bids, &heavy)
-			for u := 0; u < m; u++ {
-				r := pl.a[base+u]
-				bid := bids[u]
-				c := cnt[bid]
-				buf[int(bid)*countingStageSlots+int(c)] = r
-				c++
-				if int(c) == countingStageSlots {
-					p := offs[bid]
-					copy(pl.out[p:p+countingStageSlots],
-						buf[int(bid)*countingStageSlots:(int(bid)+1)*countingStageSlots])
-					offs[bid] = p + countingStageSlots
-					cnt[bid] = 0
-					nf++
-				} else {
-					cnt[bid] = c
-				}
+		for i, bid := range bids {
+			c := cnt[bid]
+			buf[int(bid)*countingStageSlots+int(c)] = a[i]
+			c++
+			if int(c) == countingStageSlots {
+				p := offs[bid]
+				copy(pl.out[p:p+countingStageSlots],
+					buf[int(bid)*countingStageSlots:(int(bid)+1)*countingStageSlots])
+				offs[bid] = p + countingStageSlots
+				cnt[bid] = 0
+				nf++
+			} else {
+				cnt[bid] = c
 			}
 		}
 		// Drain partial lines, restoring the all-zero cnt invariant.

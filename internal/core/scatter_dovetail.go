@@ -1,16 +1,17 @@
 // Phase 3, dovetail placement: the planner's radix route, which
 // ScatterAuto takes when the sample is not duplicate-heavy.
 //
-// The scatter reuses the counting machinery (scatter_counting.go) over
+// The scatter is the counting scatter (scatter_counting.go) run over
 // cbins = firstLight+1 bins: one bin per heavy bucket in bucket-id
 // order, plus a single catch-all bin collecting every light record.
-// Both passes resolve records through the same batched heavy directory
-// as the counting scatter and clamp light bucket ids to the catch-all
-// bin, so the heavy keys the Phase 1 sample found are placed exactly
-// once — as packed, grouped prefixes of the output — and never travel
-// through the radix recursion (the dovetail trick, applied at the
-// pipeline's top level). With no heavy buckets at all the split is the
-// identity and degenerates to one parallel copy.
+// Pass 1 classifies each record once through the batched heavy
+// directory, clamps light bucket ids to the catch-all bin and memoizes
+// the clamped id; pass 2 replays it. So the heavy keys the Phase 1
+// sample found are placed exactly once — as packed, grouped prefixes of
+// the output — and never travel through the radix recursion (the
+// dovetail trick, applied at the pipeline's top level). With no heavy
+// buckets at all the split is the identity and degenerates to one
+// parallel copy, which builds no bin-id column.
 //
 // Phase 4 then groups the light region with internal/sortint's dovetail
 // semisort: a top-down MSD radix recursion that re-samples at every
@@ -32,8 +33,6 @@ package core
 import (
 	"fmt"
 
-	"repro/internal/fault"
-	"repro/internal/prim"
 	"repro/internal/sortint"
 )
 
@@ -60,7 +59,7 @@ func (dovetailStage) scatter(pl *plan) error {
 		pl.stats.PlannerRoutes.RadixNodes++
 		return nil
 	}
-	if err := pl.tr.labeledPhase(pl, "scatter", (*plan).dovetailScatterBody); err != nil {
+	if err := pl.tr.labeledPhase(pl, "scatter", (*plan).countingScatterBody); err != nil {
 		return err
 	}
 	pl.heavyEnd = int(pl.cbase[pl.firstLight])
@@ -80,112 +79,6 @@ func (pl *plan) dovetailCopyBody() error {
 func (pl *plan) dovetailCopyChunk(blo, bhi int) {
 	lo, hi := blo*pl.cplan.grain, min(bhi*pl.cplan.grain, pl.n)
 	copy(pl.out[lo:hi], pl.a[lo:hi])
-}
-
-// dovetailScatterBody is countingScatterBody over the split's bins: the
-// totals/cursor conversions are shared verbatim (they only see cbins),
-// while the histogram and placement passes clamp light bucket ids to
-// the catch-all bin.
-func (pl *plan) dovetailScatterBody() error {
-	nb := pl.cbins
-	pl.hist = pl.ws.getHist(pl.cplan.nblocks * nb)
-
-	if err := pl.parFor(pl.cplan.nblocks, 1, (*plan).dovetailHistChunk); err != nil {
-		return err
-	}
-
-	pl.counts = grow(&pl.ws.counts, nb)
-	pl.cbase = grow(&pl.ws.cbase, nb)
-	pl.parForNoCtx(nb, 512, (*plan).countingTotalsChunk)
-	copy(pl.cbase, pl.counts)
-	pl.placedTotal = int(prim.ExclusiveScan(1, pl.cbase))
-	pl.parForNoCtx(nb, 512, (*plan).countingCursorChunk)
-
-	if pl.cplan.staged {
-		pl.ws.ensureStages(pl.procs, nb)
-	}
-	return pl.parFor(pl.cplan.nblocks, 1, (*plan).dovetailPassChunk)
-}
-
-func (pl *plan) dovetailHistChunk(blo, bhi int) {
-	nb := pl.cbins
-	catchAll := int64(pl.firstLight)
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
-	for blk := blo; blk < bhi; blk++ {
-		h := pl.hist[blk*nb : (blk+1)*nb]
-		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
-		for base := lo; base < hi; base += probeBatch {
-			m := min(probeBatch, hi-base)
-			pl.bucketOfBatch(base, m, &bids, &heavy)
-			for u := 0; u < m; u++ {
-				// Heavy ids are < firstLight, light ids >= firstLight:
-				// the clamp folds every light bucket into the catch-all.
-				h[min(bids[u], catchAll)]++
-			}
-		}
-	}
-}
-
-func (pl *plan) dovetailPassChunk(blo, bhi int) {
-	nb := pl.cbins
-	catchAll := int64(pl.firstLight)
-	var nf int64
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
-	for blk := blo; blk < bhi; blk++ {
-		offs := pl.hist[blk*nb : (blk+1)*nb]
-		lo, hi := blk*pl.cplan.grain, min((blk+1)*pl.cplan.grain, pl.n)
-		if !pl.cplan.staged || fault.Should(fault.StageFlush) {
-			for base := lo; base < hi; base += probeBatch {
-				m := min(probeBatch, hi-base)
-				pl.bucketOfBatch(base, m, &bids, &heavy)
-				for u := 0; u < m; u++ {
-					bid := min(bids[u], catchAll)
-					pl.out[offs[bid]] = pl.a[base+u]
-					offs[bid]++
-				}
-			}
-			continue
-		}
-		slot := pl.ws.acquireStage()
-		buf := pl.ws.stageBuf[slot*nb*countingStageSlots : (slot+1)*nb*countingStageSlots]
-		cnt := pl.ws.stageCnt[slot*nb : (slot+1)*nb]
-		for base := lo; base < hi; base += probeBatch {
-			m := min(probeBatch, hi-base)
-			pl.bucketOfBatch(base, m, &bids, &heavy)
-			for u := 0; u < m; u++ {
-				r := pl.a[base+u]
-				bid := min(bids[u], catchAll)
-				c := cnt[bid]
-				buf[int(bid)*countingStageSlots+int(c)] = r
-				c++
-				if int(c) == countingStageSlots {
-					p := offs[bid]
-					copy(pl.out[p:p+countingStageSlots],
-						buf[int(bid)*countingStageSlots:(int(bid)+1)*countingStageSlots])
-					offs[bid] = p + countingStageSlots
-					cnt[bid] = 0
-					nf++
-				} else {
-					cnt[bid] = c
-				}
-			}
-		}
-		// Drain partial lines, restoring the all-zero cnt invariant.
-		for b := 0; b < nb; b++ {
-			c := cnt[b]
-			if c == 0 {
-				continue
-			}
-			p := offs[b]
-			copy(pl.out[p:p+int32(c)], buf[b*countingStageSlots:b*countingStageSlots+int(c)])
-			offs[b] = p + int32(c)
-			cnt[b] = 0
-		}
-		pl.ws.releaseStage(slot)
-	}
-	pl.flushes.Add(nf)
 }
 
 // localSort groups the light region with the dovetail radix recursion

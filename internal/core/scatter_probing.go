@@ -74,16 +74,16 @@ func (pl *plan) probeScatterChunk(lo, hi int) {
 	// lookups overlap their cache misses (bucketOfBatch); placement then
 	// proceeds per record in input order with the same per-index RNG, so
 	// the output is bit-for-bit what the scalar loop produced.
-	var bids [probeBatch]int64
-	var heavy [probeBatch]bool
+	firstLight := uint32(pl.firstLight)
+	var bids [probeBatch]uint32
 	for base := lo; base < hi; base += probeBatch {
 		m := min(probeBatch, hi-base)
-		pl.bucketOfBatch(base, m, &bids, &heavy)
+		pl.bucketOfBatch(base, bids[:m])
 		for u := 0; u < m; u++ {
 			i := base + u
 			r := pl.a[i]
 			bid := bids[u]
-			if heavy[u] {
+			if bid < firstLight {
 				localHeavy++
 			}
 			bk := pl.buckets[bid]
@@ -108,7 +108,7 @@ func (pl *plan) probeScatterChunk(lo, hi int) {
 				}
 			}
 			if !placed {
-				pl.recordOverflow(bid)
+				pl.recordOverflow(int64(bid))
 				return
 			}
 		}

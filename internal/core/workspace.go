@@ -48,9 +48,11 @@ type Workspace struct {
 	slots []rec.Record
 	occ   []uint32
 
-	// Phase 3: counting scatter (histograms + per-worker staging arena;
-	// the arena replaces the old package-global sync.Pool).
+	// Phase 3: counting scatter (histograms, pass 1's per-record bin ids,
+	// and the per-worker staging arena; the arena replaces the old
+	// package-global sync.Pool).
 	hist      []int32
+	bids      []uint32
 	counts    []int32
 	cbase     []int32
 	stageBuf  []rec.Record // stageWorkers × nb × countingStageSlots records
@@ -282,7 +284,7 @@ func (w *Workspace) RetainedBytes() int64 {
 		cap(w.lightOffsets)+cap(w.packCounts)+
 		cap(w.hist)+cap(w.counts)+cap(w.cbase)) * 4
 	n += int64(cap(w.heavyRuns))*16 + int64(cap(w.buckets))*16
-	n += int64(cap(w.slots))*16 + int64(cap(w.occ))*4
+	n += int64(cap(w.slots))*16 + int64(cap(w.occ))*4 + int64(cap(w.bids))*4
 	n += int64(cap(w.rxScratch))*16 + w.dtScratch.RetainedBytes()
 	n += int64(cap(w.stageBuf))*16 + int64(cap(w.stageCnt))
 	arenas := w.lsArenas[:cap(w.lsArenas)]
@@ -315,7 +317,7 @@ func (w *Workspace) Release() {
 	w.runStarts, w.runCounts, w.blockHeavy = nil, nil, nil
 	w.heavyRuns, w.lightCounts, w.lightBucketOf = nil, nil, nil
 	w.buckets, w.table, w.boost = nil, nil, nil
-	w.slots, w.occ, w.rxScratch = nil, nil, nil
+	w.slots, w.occ, w.rxScratch, w.bids = nil, nil, nil, nil
 	w.dtScratch.Release()
 	w.hist, w.counts, w.cbase = nil, nil, nil
 	w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil
@@ -339,7 +341,7 @@ func (w *Workspace) shrink(max int64) {
 		return
 	}
 	w.plan.clearRefs() // the plan aliases the buffers being dropped
-	w.slots, w.occ, w.rxScratch = nil, nil, nil
+	w.slots, w.occ, w.rxScratch, w.bids = nil, nil, nil, nil
 	w.redStage, w.redStageReps = nil, nil
 	if w.RetainedBytes() <= max {
 		return

@@ -196,3 +196,64 @@ func TestRunsErrStopsAtError(t *testing.T) {
 		t.Errorf("empty input: err = %v, want nil", err)
 	}
 }
+
+// FuzzDecodeBlock feeds arbitrary bytes to the spill-block decoder, the
+// out-of-core shuffle's trust boundary with the disk. DecodeBlock must
+// never panic; on success it consumes 0 < n <= len(b) bytes, leaves dst's
+// prefix alone, and the records it accepted re-encode (raw and
+// compressed) to blocks that decode back to the same records. Run with
+// `go test -fuzz=FuzzDecodeBlock -run=^$ ./internal/rec`; the seed
+// corpus always runs under plain `go test`.
+func FuzzDecodeBlock(f *testing.F) {
+	// One encoder and decoder serve every input: a fresh DEFLATE state
+	// per call would dominate the run. (Fuzz calls within one worker
+	// process are sequential.)
+	var enc BlockEncoder
+	var dec BlockDecoder
+	for _, compress := range []bool{false, true} {
+		for _, n := range []int{0, 1, 5, 40} {
+			b, err := enc.AppendBlock(nil, blockRecords(n, 7, int64(n)+3), compress)
+			if err != nil {
+				f.Fatal(err)
+			}
+			f.Add(b)
+			f.Add(b[:len(b)-1])
+			f.Add(append(b, 0xB5))
+		}
+	}
+	f.Add([]byte{})
+	f.Add(make([]byte, BlockHeaderSize))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		prefix := []Record{{Key: 1, Value: 2}}
+		got, n, err := dec.DecodeBlock(prefix, b)
+		if err != nil {
+			return
+		}
+		if n <= 0 || n > len(b) {
+			t.Fatalf("consumed %d of %d bytes", n, len(b))
+		}
+		if len(got) < 1 || got[0] != prefix[0] {
+			t.Fatalf("dst prefix clobbered: %v", got[:min(1, len(got))])
+		}
+		recs := got[1:]
+		for _, compress := range []bool{false, true} {
+			blk, err := enc.AppendBlock(nil, recs, compress)
+			if err != nil {
+				t.Fatalf("re-encode (compress=%v) of %d accepted records: %v", compress, len(recs), err)
+			}
+			back, m, err := dec.DecodeBlock(nil, blk)
+			if err != nil {
+				t.Fatalf("re-encoded block (compress=%v) does not decode: %v", compress, err)
+			}
+			if m != len(blk) || len(back) != len(recs) {
+				t.Fatalf("re-encoded block (compress=%v): consumed %d of %d bytes, %d of %d records",
+					compress, m, len(blk), len(back), len(recs))
+			}
+			for i := range recs {
+				if back[i] != recs[i] {
+					t.Fatalf("re-encoded block (compress=%v): record %d = %v, want %v", compress, i, back[i], recs[i])
+				}
+			}
+		}
+	})
+}
