@@ -76,14 +76,16 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/semibench -experiment sampling -n 1e5 -procs 2 -reps 2
 
-# Short fuzzing passes over the six fuzz targets.
+# Short fuzzing passes over the eight fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzRecords -fuzztime=30s .
 	$(GO) test -fuzz=FuzzBy -fuzztime=30s .
 	$(GO) test -fuzz=FuzzConfigs -fuzztime=30s .
 	$(GO) test -fuzz=FuzzReadRecords -fuzztime=30s ./internal/rec
+	$(GO) test -fuzz=FuzzReadFrame -fuzztime=30s ./internal/rec
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/rec
 	$(GO) test -fuzz=FuzzReadManifest -fuzztime=30s ./external
+	$(GO) test -fuzz=FuzzDovetailSemisort -fuzztime=30s ./internal/sortint
 
 # Full reproduction of the paper's evaluation (Section 5) at laptop scale.
 repro:

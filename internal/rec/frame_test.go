@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"slices"
 	"testing"
 	"testing/iotest"
 )
@@ -203,5 +204,68 @@ func FuzzReadRecords(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, split uint16, kind uint8) {
 		r, failAt := readerFor(int(kind)%readerKinds, data, int(split)+1)
 		checkReadRecords(t, r, data, failAt)
+	})
+}
+
+// FuzzReadFrame feeds arbitrary bytes to ReadFrame, whole and one byte
+// per Read. It must never panic; a frame it accepts must be exactly the
+// bytes WriteFrame produces for the records it returned; and a stream cut
+// anywhere inside that frame must fail, never return a short frame. Run
+// with `go test -fuzz=FuzzReadFrame -run=^$ ./internal/rec`; the seed
+// corpus always runs under plain `go test`.
+func FuzzReadFrame(f *testing.F) {
+	for _, n := range []int{0, 1, 3} {
+		var buf bytes.Buffer
+		if err := WriteFrame(&buf, blockRecords(n, 5, int64(n)+1)); err != nil {
+			f.Fatal(err)
+		}
+		b := buf.Bytes()
+		f.Add(b)
+		f.Add(b[:len(b)-1])
+		f.Add(append(b, 0x7f))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
+	f.Add([]byte{0x01, 0x00})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		prefix := []Record{{Key: 1, Value: 2}}
+		r := bytes.NewReader(b)
+		got, err := ReadFrame(r, prefix)
+		if len(got) < 1 || got[0] != prefix[0] {
+			t.Fatalf("dst prefix clobbered")
+		}
+		consumed := len(b) - r.Len()
+		one, oneErr := ReadFrame(iotest.OneByteReader(bytes.NewReader(b)), nil)
+		if (err == nil) != (oneErr == nil) || err == nil && !slices.Equal(got[1:], one) {
+			t.Fatalf("one-byte reads disagree: err %v vs %v", err, oneErr)
+		}
+		if err != nil {
+			if errors.Is(err, io.EOF) && len(b) != 0 {
+				t.Fatalf("clean EOF reported on %d bytes", len(b))
+			}
+			if len(b) >= 4 {
+				n := int64(uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24)
+				if n <= MaxFrameRecords && int64(len(b)) >= 4+n*RecordSize {
+					t.Fatalf("complete frame of %d records rejected: %v", n, err)
+				}
+			}
+			return
+		}
+		var enc bytes.Buffer
+		if err := WriteFrame(&enc, got[1:]); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(enc.Bytes(), b[:consumed]) {
+			t.Fatalf("accepted frame of %d records does not round-trip (%d bytes read, %d written)",
+				len(got)-1, consumed, enc.Len())
+		}
+		for _, cut := range []int{1, min(3, consumed-1), consumed - 1} {
+			if cut < 1 || cut >= consumed {
+				continue
+			}
+			if _, err := ReadFrame(bytes.NewReader(b[:cut]), nil); err == nil || errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
+				t.Fatalf("frame cut at %d of %d bytes: err = %v, want unexpected-EOF error", cut, consumed, err)
+			}
+		}
 	})
 }

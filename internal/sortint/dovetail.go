@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"unsafe"
@@ -17,16 +18,19 @@ import (
 // large enough to sample, detects heavy duplicate keys and "dovetails"
 // them into the distribution pass — records with a heavy key are placed
 // once, contiguously, at the front of the node's range, and no later pass
-// ever touches them again. Light records continue through the ordinary
-// byte-at-a-time recursion. The output is a SEMISORT: every key's records
-// are contiguous and in input order, but heavy groups sit ahead of the
-// byte-ordered light groups of their node, so the array is not sorted by
-// key. This is the DovetailSort design of "Parallel Integer Sort: Theory
-// and Practice" (arXiv 2401.00710) restricted to what a semisort needs.
+// ever touches them again. Light records continue through 8-bit passes
+// until a node is small enough to finish in one counting pass whose digit
+// width matches its size, followed by one insertion pass (dtSerialLight).
+// The output is a SEMISORT: every key's records are contiguous and in
+// input order, but heavy groups sit ahead of the byte-ordered light groups
+// of their node, so the array is not sorted by key. This is the
+// DovetailSort design of "Parallel Integer Sort: Theory and Practice"
+// (arXiv 2401.00710) restricted to what a semisort needs.
 const (
 	// Nodes at or above this size sample for heavy keys (and hit the
-	// cancellation/fault gate); below it plain radix recursion finishes
-	// the node — sampling 64 keys from a tiny node is all overhead.
+	// cancellation/fault gate); below it a plain stable sort by key
+	// finishes the node — sampling 64 keys from a tiny node is all
+	// overhead.
 	dtSampleCutoff = 2048
 	// Keys sampled per node, at fixed strides, so the decision is a pure
 	// function of the node's contents (proc-count independent).
@@ -39,14 +43,21 @@ const (
 	dtMaxHeavy = 16
 	// Distribution bins per dovetail pass: heavy bins first, byte bins after.
 	dtBins = radixBuckets + dtMaxHeavy
+	// Serial nodes of at most dtWideMax records with no heavy key finish
+	// in one counting pass whose digit, at most dtWideBits wide, matches
+	// the node size (see dtSerialLight).
+	dtWideMax  = 8192
+	dtWideBits = 12
 )
 
 // DovetailStats counts the routing decisions of one dovetail semisort.
 // Only nodes large enough to sample (>= dtSampleCutoff records) are
-// counted; smaller nodes finish on plain radix/insertion leaves.
+// counted; smaller nodes finish in the size-matched counting pass or, at
+// most smallCutoff records, in an insertion sort.
 type DovetailStats struct {
 	// RadixNodes is the number of sampled nodes whose sample showed no
-	// heavy key: the node ran a plain radix pass.
+	// heavy key: the node ran a plain radix pass (8-bit, or size-matched
+	// when it finishes the node).
 	RadixNodes int64
 	// DovetailNodes is the number of sampled nodes that extracted at
 	// least one heavy key into the distribution pass.
@@ -199,7 +210,7 @@ func DovetailSemisortWith(ctx context.Context, procs int, a, scratch []rec.Recor
 	ds.heavy.Store(0)
 	ds.canceled.Store(false)
 	ds.firstErr = nil
-	dtSortInPlace(ds, a, scratch[:len(a)], 64-radixBits)
+	dtSort(ds, a, scratch[:len(a)], 64, false)
 	if stats != nil {
 		stats.RadixNodes += ds.radix.Load()
 		stats.DovetailNodes += ds.dovetail.Load()
@@ -266,58 +277,42 @@ func dtParallel(st *DovetailScratch, n int) bool {
 	return st.procs > 1 && n >= seqCutoff
 }
 
-// dtSortInPlace groups a by the bytes at shift, shift-8, ...; the result
-// ends in a. scratch is clobbered.
-func dtSortInPlace(st *DovetailScratch, a, scratch []rec.Record, shift int) {
-	if !dtParallel(st, len(a)) || shift < 0 {
-		dtSerial(st, a, scratch, shift)
-		return
-	}
-	p := st.pass()
-	nh, stop := dtSample(st, a, &p.hk)
-	if stop {
-		st.release(p)
-		return
-	}
-	st.heavy.Add(int64(nh))
-	dovetailPass(st, p, nh, a, scratch, shift)
-	// The heavy region is final: move it home once, never touch it again.
-	if heavyEnd := p.starts[nh]; heavyEnd >= seqCutoff {
-		parallel.For(st.procs, heavyEnd, 1<<14, func(lo, hi int) {
-			copy(a[lo:hi], scratch[lo:hi])
-		})
-	} else {
-		copy(a[:heavyEnd], scratch[:heavyEnd])
-	}
-	dtRecurseLight(st, p, nh, func(lo, hi int) {
-		if hi-lo == 1 {
-			a[lo] = scratch[lo]
-			return
-		}
-		dtSortInto(st, scratch[lo:hi], a[lo:hi], shift-radixBits)
-	})
-	st.release(p)
-}
-
-// dtSortInto groups src by the bytes at shift, shift-8, ...; the result
-// ends in dst. src is clobbered. len(src) == len(dst).
-func dtSortInto(st *DovetailScratch, src, dst []rec.Record, shift int) {
-	if !dtParallel(st, len(src)) || shift < 0 {
-		dtSerialInto(st, src, dst, shift)
+// dtSort groups src by its low left bits (the bits above are equal across
+// the node). The result ends in dst when into is set, else back in src;
+// the other buffer is clobbered. len(src) == len(dst).
+func dtSort(st *DovetailScratch, src, dst []rec.Record, left int, into bool) {
+	if !dtParallel(st, len(src)) || left <= 0 {
+		dtSerial(st, src, dst, left, into)
 		return
 	}
 	p := st.pass()
 	nh, stop := dtSample(st, src, &p.hk)
 	if stop {
 		st.release(p)
-		copy(dst, src) // keep dst a permutation on a stopped run
+		if into {
+			copy(dst, src) // keep dst a permutation on a stopped run
+		}
 		return
 	}
 	st.heavy.Add(int64(nh))
-	// Heavy records land in dst already — final.
-	dovetailPass(st, p, nh, src, dst, shift)
+	dovetailPass(st, p, nh, src, dst, left-radixBits)
+	if !into {
+		// The heavy region is final: move it home once, never touch it
+		// again. (With into set it is home already.)
+		if heavyEnd := p.starts[nh]; heavyEnd >= seqCutoff {
+			parallel.For(st.procs, heavyEnd, 1<<14, func(lo, hi int) {
+				copy(src[lo:hi], dst[lo:hi])
+			})
+		} else {
+			copy(src[:heavyEnd], dst[:heavyEnd])
+		}
+	}
 	dtRecurseLight(st, p, nh, func(lo, hi int) {
-		dtSortInPlace(st, dst[lo:hi], src[lo:hi], shift-radixBits)
+		if hi-lo == 1 && !into {
+			src[lo] = dst[lo]
+			return
+		}
+		dtSort(st, dst[lo:hi], src[lo:hi], left-radixBits, !into)
 	})
 	st.release(p)
 }
@@ -342,6 +337,16 @@ func dtMask(mask *[radixBuckets]uint16, hk []uint64, shift int) {
 	for j, k := range hk {
 		mask[int(k>>uint(shift))&(radixBuckets-1)] |= 1 << j
 	}
+}
+
+// dtBin is the bin of key k in a dovetail pass at shift: j when k is
+// heavy key hk[j], else len(hk) plus k's byte at shift.
+func dtBin(k uint64, shift int, mask *[radixBuckets]uint16, hk []uint64) int {
+	b := int(k>>uint(shift)) & (radixBuckets - 1)
+	if m := mask[b]; m != 0 {
+		return dtResolve(m, k, hk, len(hk)+b)
+	}
+	return len(hk) + b
 }
 
 // dtResolve disambiguates a record whose byte collides with one or more
@@ -371,14 +376,6 @@ func dovetailPass(st *DovetailScratch, p *dtPass, nh int, src, dst []rec.Record,
 	hk := p.hk[:nh]
 	clear(p.mask[:])
 	dtMask(&p.mask, hk, shift)
-	binOf := func(k uint64) int {
-		b := int(k>>uint(shift)) & (radixBuckets - 1)
-		bin := nh + b
-		if m := p.mask[b]; m != 0 {
-			bin = dtResolve(m, k, hk, bin)
-		}
-		return bin
-	}
 	grain := parallel.Grain(n, st.procs, 1<<13)
 	nblocks := (n + grain - 1) / grain
 	if cap(p.counts) < nblocks*dtBins {
@@ -391,7 +388,7 @@ func dovetailPass(st *DovetailScratch, p *dtPass, nh int, src, dst []rec.Record,
 			s, e := blk*grain, min((blk+1)*grain, n)
 			c := tab[blk*dtBins : (blk+1)*dtBins]
 			for i := s; i < e; i++ {
-				c[binOf(src[i].Key)]++
+				c[dtBin(src[i].Key, shift, &p.mask, hk)]++
 			}
 		}
 	})
@@ -414,7 +411,7 @@ func dovetailPass(st *DovetailScratch, p *dtPass, nh int, src, dst []rec.Record,
 			s, e := blk*grain, min((blk+1)*grain, n)
 			offs := tab[blk*dtBins : (blk+1)*dtBins]
 			for i := s; i < e; i++ {
-				bin := binOf(src[i].Key)
+				bin := dtBin(src[i].Key, shift, &p.mask, hk)
 				dst[offs[bin]] = src[i]
 				offs[bin]++
 			}
@@ -422,103 +419,23 @@ func dovetailPass(st *DovetailScratch, p *dtPass, nh int, src, dst []rec.Record,
 	})
 }
 
-// dovetailPassSerial is the closure-free one-worker dovetail pass of the
-// serial recursion.
-func dovetailPassSerial(src, dst []rec.Record, shift int, hk []uint64) [dtBins + 1]int {
-	n := len(src)
-	nh := len(hk)
-	var mask [radixBuckets]uint16
-	dtMask(&mask, hk, shift)
-
-	var starts [dtBins + 1]int
-	var counts [dtBins]int
-	for i := 0; i < n; i++ {
-		k := src[i].Key
-		b := int(k>>uint(shift)) & (radixBuckets - 1)
-		bin := nh + b
-		if m := mask[b]; m != 0 {
-			bin = dtResolve(m, k, hk, bin)
-		}
-		counts[bin]++
-	}
-	sum := 0
-	var offs [dtBins]int
-	for b := 0; b < dtBins; b++ {
-		starts[b] = sum
-		offs[b] = sum
-		sum += counts[b]
-	}
-	starts[dtBins] = sum
-	for i := 0; i < n; i++ {
-		k := src[i].Key
-		b := int(k>>uint(shift)) & (radixBuckets - 1)
-		bin := nh + b
-		if m := mask[b]; m != 0 {
-			bin = dtResolve(m, k, hk, bin)
-		}
-		dst[offs[bin]] = src[i]
-		offs[bin]++
-	}
-	return starts
-}
-
-// dtSerial is dtSortInPlace specialized to one worker with the recursion
-// inlined (no body closures), so it allocates nothing. It finishes every
-// node below seqCutoff and every node of a one-worker run.
-func dtSerial(st *DovetailScratch, a, scratch []rec.Record, shift int) {
-	n := len(a)
-	if n <= smallCutoff {
-		insertionSort(a)
-		return
-	}
-	if shift < 0 {
-		return
-	}
-	var hk [dtMaxHeavy]uint64
-	nh := 0
-	if n >= dtSampleCutoff {
-		var stop bool
-		if nh, stop = dtSample(st, a, &hk); stop {
-			return
-		}
-	}
-	if nh == 0 {
-		starts := dtRadixPassSerial(a, scratch, shift)
-		for b := 0; b < radixBuckets; b++ {
-			lo, hi := starts[b], starts[b+1]
-			switch {
-			case hi-lo == 1:
-				a[lo] = scratch[lo]
-			case hi-lo > 1:
-				dtSerialInto(st, scratch[lo:hi], a[lo:hi], shift-radixBits)
-			}
-		}
-		return
-	}
-	st.heavy.Add(int64(nh))
-	starts := dovetailPassSerial(a, scratch, shift, hk[:nh])
-	copy(a[:starts[nh]], scratch[:starts[nh]])
-	for b := nh; b < nh+radixBuckets; b++ {
-		lo, hi := starts[b], starts[b+1]
-		switch {
-		case hi-lo == 1:
-			a[lo] = scratch[lo]
-		case hi-lo > 1:
-			dtSerialInto(st, scratch[lo:hi], a[lo:hi], shift-radixBits)
-		}
-	}
-}
-
-// dtSerialInto is dtSortInto specialized to one worker.
-func dtSerialInto(st *DovetailScratch, src, dst []rec.Record, shift int) {
+// dtSerial is dtSort on one worker with the recursion inlined (no body
+// closures), so it allocates nothing. It finishes every node below
+// seqCutoff and every node of a one-worker run.
+func dtSerial(st *DovetailScratch, src, dst []rec.Record, left int, into bool) {
 	n := len(src)
 	if n <= smallCutoff {
-		copy(dst, src)
-		insertionSort(dst)
+		if into {
+			insertionSortInto(dst, src)
+		} else {
+			insertionSort(src)
+		}
 		return
 	}
-	if shift < 0 {
-		copy(dst, src)
+	if left <= 0 {
+		if into {
+			copy(dst, src) // all keys consumed: the node is one key
+		}
 		return
 	}
 	var hk [dtMaxHeavy]uint64
@@ -526,51 +443,160 @@ func dtSerialInto(st *DovetailScratch, src, dst []rec.Record, shift int) {
 	if n >= dtSampleCutoff {
 		var stop bool
 		if nh, stop = dtSample(st, src, &hk); stop {
-			copy(dst, src)
+			if into {
+				copy(dst, src)
+			}
 			return
 		}
 	}
 	if nh == 0 {
-		starts := dtRadixPassSerial(src, dst, shift)
-		for b := 0; b < radixBuckets; b++ {
-			if starts[b+1] > starts[b] {
-				dtSerial(st, dst[starts[b]:starts[b+1]], src[starts[b]:starts[b+1]], shift-radixBits)
-			}
-		}
+		dtSerialLight(st, src, dst, left, into)
 		return
 	}
 	st.heavy.Add(int64(nh))
-	starts := dovetailPassSerial(src, dst, shift, hk[:nh])
-	for b := nh; b < nh+radixBuckets; b++ {
-		if starts[b+1] > starts[b] {
-			dtSerial(st, dst[starts[b]:starts[b+1]], src[starts[b]:starts[b+1]], shift-radixBits)
+	var ends [dtBins]int32
+	dovetailPassSerial(src, dst, left-radixBits, hk[:nh], &ends)
+	heavyEnd := int(ends[nh-1])
+	if !into {
+		copy(src[:heavyEnd], dst[:heavyEnd])
+	}
+	dtSerialBins(st, src, dst, heavyEnd, ends[nh:nh+radixBuckets], left-radixBits, into)
+}
+
+// dtSerialBins recurses into the bins of a serial pass from src into
+// dst: bin b spans dst[ends[b-1]:ends[b]], the first starting at lo. The
+// results end in dst when into is set, else in src.
+func dtSerialBins(st *DovetailScratch, src, dst []rec.Record, lo int, ends []int32, left int, into bool) {
+	for _, e := range ends {
+		hi := int(e)
+		switch {
+		case hi-lo == 1 && !into:
+			src[lo] = dst[lo]
+		case hi-lo > 1:
+			dtSerial(st, dst[lo:hi], src[lo:hi], left, !into)
 		}
+		lo = hi
 	}
 }
 
-// dtRadixPassSerial is the serial branch of radixPass without the byteOf
-// closure: radixPass shares one closure with its parallel.For bodies,
-// which forces it to the heap, and a serial dovetail run would pay that
-// allocation at every radix node.
-func dtRadixPassSerial(src, dst []rec.Record, shift int) [radixBuckets + 1]int {
+// dtSerialLight is the counting pass of a serial node with no heavy key.
+// A node of at most dtWideMax records finishes in one size-matched pass:
+// its digit is the top w = min(dtWideBits, bits.Len(n), left) bits, so
+// a child holds about one record on average. Sub-bins of more than
+// smallCutoff records and more than one key recurse with the same pass on
+// the bits left; one insertion pass over the whole node then orders the
+// records within each sub-bin (the digit already orders the sub-bins).
+// The result is the node's stable sort by key: the same bytes 8-bit
+// passes down to insertion leaves give whenever no descendant samples,
+// i.e. whenever every 8-bit child is below dtSampleCutoff. So a node of
+// dtSampleCutoff records or more (always at a byte boundary) takes the
+// wide pass only when its histogram, folded to 8 bits, shows no child
+// that large. Otherwise, and on every node above dtWideMax, it runs the
+// 8-bit pass and recurses per byte bin, where such children sample.
+func dtSerialLight(st *DovetailScratch, src, dst []rec.Record, left int, into bool) {
 	n := len(src)
-	var starts [radixBuckets + 1]int
-	var counts [radixBuckets]int
-	for i := 0; i < n; i++ {
-		counts[int(src[i].Key>>uint(shift))&(radixBuckets-1)]++
+	var c [1 << dtWideBits]int32
+	w, final := radixBits, false
+	if n <= dtWideMax {
+		w, final = min(dtWideBits, bits.Len(uint(n)), left), true
 	}
-	sum := 0
-	var offs [radixBuckets]int
-	for b := 0; b < radixBuckets; b++ {
-		starts[b] = sum
-		offs[b] = sum
-		sum += counts[b]
+	dtCount(src, c[:1<<w], left-w)
+	if final && n >= dtSampleCutoff {
+		// w >= radixBits here: left is a multiple of 8 above this size.
+		var c8 [radixBuckets]int32
+		f := w - radixBits
+		for b := range c8 {
+			s := int32(0)
+			for _, v := range c[b<<f : (b+1)<<f] {
+				s += v
+			}
+			c8[b] = s
+		}
+		if slices.Max(c8[:]) >= dtSampleCutoff {
+			w, final = radixBits, false
+			copy(c[:], c8[:])
+		}
 	}
-	starts[radixBuckets] = sum
-	for i := 0; i < n; i++ {
-		b := int(src[i].Key>>uint(shift)) & (radixBuckets - 1)
-		dst[offs[b]] = src[i]
-		offs[b]++
+	shift := left - w
+	ends := c[:1<<w]
+	dtScatter(src, dst, ends, shift)
+	if !final {
+		dtSerialBins(st, src, dst, 0, ends, shift, into)
+		return
 	}
-	return starts
+	lo := 0
+	for _, e := range ends {
+		hi := int(e)
+		if hi-lo > smallCutoff && !dtOneKey(dst[lo:hi]) {
+			dtSerial(st, dst[lo:hi], src[lo:hi], shift, false)
+		}
+		lo = hi
+	}
+	if into {
+		insertionSort(dst)
+	} else {
+		insertionSortInto(src, dst)
+	}
+}
+
+// dtOneKey reports whether every record of the non-empty a has one key.
+func dtOneKey(a []rec.Record) bool {
+	for _, r := range a[1:] {
+		if r.Key != a[0].Key {
+			return false
+		}
+	}
+	return true
+}
+
+// dtCount histograms src by its digit at shift into c, whose length (a
+// power of two) sets the digit width. It and dtScatter stay out of line:
+// inlined into dtSerialLight, their loops spill the key and the table
+// length to the stack, which cost about 7% of a near-unique sort.
+//
+//go:noinline
+func dtCount(src []rec.Record, c []int32, shift int) {
+	s, m := uint(shift)&63, uint64(len(c)-1)
+	for i := range src {
+		c[src[i].Key>>s&m]++
+	}
+}
+
+// dtScatter distributes src stably into dst by its digit at shift, given
+// the digit's histogram c, and leaves in c[d] the end of bin d in dst.
+//
+//go:noinline
+func dtScatter(src, dst []rec.Record, c []int32, shift int) {
+	sum := int32(0)
+	for d, v := range c {
+		c[d] = sum
+		sum += v
+	}
+	s, m := uint(shift)&63, uint64(len(c)-1)
+	for _, r := range src {
+		d := r.Key >> s & m
+		dst[c[d]] = r
+		c[d]++
+	}
+}
+
+// dovetailPassSerial is the one-worker dovetail pass of the serial
+// recursion: dovetailPass with one block, leaving in ends[b] the end of
+// bin b in dst.
+func dovetailPassSerial(src, dst []rec.Record, shift int, hk []uint64, ends *[dtBins]int32) {
+	var mask [radixBuckets]uint16
+	dtMask(&mask, hk, shift)
+	for i := range src {
+		ends[dtBin(src[i].Key, shift, &mask, hk)]++
+	}
+	sum := int32(0)
+	for b, v := range ends {
+		ends[b] = sum
+		sum += v
+	}
+	for i := range src {
+		bin := dtBin(src[i].Key, shift, &mask, hk)
+		dst[ends[bin]] = src[i]
+		ends[bin]++
+	}
 }

@@ -225,19 +225,26 @@ func TestDovetailSemisortFaultInjection(t *testing.T) {
 }
 
 func TestDovetailSemisortSerialZeroAlloc(t *testing.T) {
-	orig := randRecords(100000, 100, 5)
-	a := make([]rec.Record, len(orig))
-	scratch := make([]rec.Record, len(orig))
-	var st DovetailStats
-	var ds DovetailScratch
-	allocs := testing.AllocsPerRun(5, func() {
-		copy(a, orig)
-		if err := DovetailSemisortWith(context.Background(), 1, a, scratch, &ds, &st); err != nil {
-			t.Fatal(err)
-		}
-	})
-	if allocs > 0 {
-		t.Fatalf("serial dovetail allocated %.0f objects per run, want 0", allocs)
+	for _, c := range []struct {
+		name     string
+		keyRange uint64
+	}{{"heavy100", 100}, {"unique", 0}} {
+		t.Run(c.name, func(t *testing.T) {
+			orig := randRecords(100000, c.keyRange, 5)
+			a := make([]rec.Record, len(orig))
+			scratch := make([]rec.Record, len(orig))
+			var st DovetailStats
+			var ds DovetailScratch
+			allocs := testing.AllocsPerRun(5, func() {
+				copy(a, orig)
+				if err := DovetailSemisortWith(context.Background(), 1, a, scratch, &ds, &st); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > 0 {
+				t.Fatalf("serial dovetail allocated %.0f objects per run, want 0", allocs)
+			}
+		})
 	}
 }
 

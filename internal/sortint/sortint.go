@@ -29,7 +29,10 @@ var ErrShortScratch = errors.New("sortint: scratch buffer too small")
 const (
 	radixBits    = 8
 	radixBuckets = 1 << radixBits
-	// Segments at or below this size use insertion sort on the full key.
+	// Segments at or below this size use insertion sort on the full key:
+	// the radix sort's leaves, and in the dovetail recursion both its
+	// leaves and the sub-bins a size-matched pass leaves to its closing
+	// insertion pass rather than recursing on.
 	smallCutoff = 32
 	// Segments below this size are radix-sorted sequentially rather than
 	// with parallel passes.
@@ -203,15 +206,21 @@ func radixPass(procs int, src, dst []rec.Record, shift int) [radixBuckets + 1]in
 
 // insertionSort sorts a tiny segment by full key; it is the base case of
 // the radix recursion and is stable.
-func insertionSort(a []rec.Record) {
-	for i := 1; i < len(a); i++ {
-		r := a[i]
+func insertionSort(a []rec.Record) { insertionSortInto(a, a) }
+
+// insertionSortInto stably sorts src by full key into dst, which must be
+// as long as src and may be src itself. It is quadratic in the distance
+// records move, so it also finishes a segment whose records are already
+// near their place.
+func insertionSortInto(dst, src []rec.Record) {
+	dst = dst[:len(src)]
+	for i, r := range src {
 		j := i - 1
-		for j >= 0 && a[j].Key > r.Key {
-			a[j+1] = a[j]
+		for j >= 0 && dst[j].Key > r.Key {
+			dst[j+1] = dst[j]
 			j--
 		}
-		a[j+1] = r
+		dst[j+1] = r
 	}
 }
 
