@@ -132,3 +132,88 @@ func TestScatterOutputGolden(t *testing.T) {
 		t.Error("no case took the dovetail route with heavy keys")
 	}
 }
+
+// sampleGolden is one committed TestSampleGolden result: the rounds and
+// kept keys of Phase 1, and the FNV-64a digests of the sorted sample,
+// the per-range histogram and the heavy runs classify derives from them.
+type sampleGolden struct {
+	rounds, ns            int
+	sample, hist, heavies uint64
+}
+
+// sampleGoldens pins Phase 1 byte for byte. The digests were recorded
+// before the sample sort skipped shared digits and before fully-selected
+// rounds drew each key once, so both changes are proven not to move a
+// single sampled key, histogram count or heavy run.
+var sampleGoldens = map[string]sampleGolden{
+	"uniform/procs=1": {4, 8069, 0x70e48e7d0bf784ce, 0x4d998d86dda647c, 0xcbf29ce484222325},
+	"uniform/procs=2": {4, 8069, 0x70e48e7d0bf784ce, 0x4d998d86dda647c, 0xcbf29ce484222325},
+	"uniform/procs=4": {4, 8069, 0x70e48e7d0bf784ce, 0x4d998d86dda647c, 0xcbf29ce484222325},
+	"exp/procs=1":     {4, 8074, 0xac7c1514594be485, 0x7eaaf83f97f1c051, 0xd0afc203e79f2e0a},
+	"exp/procs=2":     {4, 8074, 0xac7c1514594be485, 0x7eaaf83f97f1c051, 0xd0afc203e79f2e0a},
+	"exp/procs=4":     {4, 8074, 0xac7c1514594be485, 0x7eaaf83f97f1c051, 0xd0afc203e79f2e0a},
+	"zipf/procs=1":    {4, 8084, 0x3065b22f0c04d56b, 0xb43c7c5d2d6f8ccc, 0x3fdc40101220e4bc},
+	"zipf/procs=2":    {4, 8084, 0x3065b22f0c04d56b, 0xb43c7c5d2d6f8ccc, 0x3fdc40101220e4bc},
+	"zipf/procs=4":    {4, 8084, 0x3065b22f0c04d56b, 0xb43c7c5d2d6f8ccc, 0x3fdc40101220e4bc},
+}
+
+// TestSampleGolden: the sorted sample, the per-range histogram and the
+// heavy runs of Phase 1 are committed and identical across Procs 1, 2
+// and 4, on uniform(n), exponential(n/10^3) and Zipf(10^4). Every input
+// draws its pilot from every range; at least one input must also run a
+// round that selects only some ranges, so both fill arms are pinned.
+func TestSampleGolden(t *testing.T) {
+	const n = 1 << 17
+	inputs := []diffDist{
+		{"uniform", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Uniform, Param: n}, 3)},
+		{"exp", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Exponential, Param: n / 1e3}, 3)},
+		{"zipf", distgen.Generate(2, n, distgen.Spec{Kind: distgen.Zipfian, Param: 1e4}, 3)},
+	}
+	partial := false
+	for _, in := range inputs {
+		for _, procs := range []int{1, 2, 4} {
+			name := fmt.Sprintf("%s/procs=%d", in.name, procs)
+			c := (&Config{Procs: procs, Seed: 5}).withDefaults()
+			var ws Workspace
+			tr := newTracer(&c)
+			pl := &ws.plan
+			pl.begin(&ws, in.data, nil, &c, 0, 0, nil, &tr, nil)
+			if err := pl.samplePhase(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if err := pl.classifyPhase(); err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			if pl.smplRounds > 1 && pl.smplSelCount < pl.numLight {
+				partial = true
+			}
+			var b [16]byte
+			h := fnv.New64a()
+			for _, k := range pl.sample[:pl.ns] {
+				binary.LittleEndian.PutUint64(b[:8], k)
+				h.Write(b[:8])
+			}
+			got := sampleGolden{rounds: pl.smplRounds, ns: pl.ns, sample: h.Sum64()}
+			h.Reset()
+			for _, c := range pl.smplHist {
+				binary.LittleEndian.PutUint32(b[:4], uint32(c))
+				h.Write(b[:4])
+			}
+			got.hist = h.Sum64()
+			h.Reset()
+			for _, hr := range pl.heavyRuns[:pl.numHeavy] {
+				binary.LittleEndian.PutUint64(b[:8], hr.key)
+				binary.LittleEndian.PutUint64(b[8:], uint64(hr.count))
+				h.Write(b[:])
+			}
+			got.heavies = h.Sum64()
+			if want, ok := sampleGoldens[name]; !ok || got != want {
+				t.Errorf("%s: got %q: {%d, %d, %#x, %#x, %#x}, want %+v",
+					name, name, got.rounds, got.ns, got.sample, got.hist, got.heavies, want)
+			}
+		}
+	}
+	if !partial {
+		t.Error("no input ran a round over only some hash ranges")
+	}
+}
