@@ -25,10 +25,12 @@ race:
 
 # stress mirrors the CI race-stress matrix: core + parallel under the race
 # detector at several GOMAXPROCS, repeated, so both scatter strategies see
-# varied interleavings.
+# varied interleavings; then the bare-key sample sort, whose parallel
+# passes skip shared digits per node.
 stress:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=3 -short ./internal/core/... ./internal/parallel/... || exit 1; \
+		GOMAXPROCS=$$p $(GO) test -race -count=2 -run 'SortUint64' ./internal/sortint/ || exit 1; \
 	done
 
 # sweep runs the duplication-spectrum differential suite twice (the
@@ -76,7 +78,7 @@ bench-smoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./...
 	$(GO) run ./cmd/semibench -experiment sampling -n 1e5 -procs 2 -reps 2
 
-# Short fuzzing passes over the eight fuzz targets.
+# Short fuzzing passes over the nine fuzz targets.
 fuzz:
 	$(GO) test -fuzz=FuzzRecords -fuzztime=30s .
 	$(GO) test -fuzz=FuzzBy -fuzztime=30s .
@@ -86,6 +88,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzDecodeBlock -fuzztime=30s ./internal/rec
 	$(GO) test -fuzz=FuzzReadManifest -fuzztime=30s ./external
 	$(GO) test -fuzz=FuzzDovetailSemisort -fuzztime=30s ./internal/sortint
+	$(GO) test -fuzz=FuzzSortUint64 -fuzztime=30s ./internal/sortint
 
 # Full reproduction of the paper's evaluation (Section 5) at laptop scale.
 repro:

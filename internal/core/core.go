@@ -7,9 +7,13 @@
 // of the paper; the implementation is an explicit pipeline with one file
 // per stage:
 //
-//  1. Sampling and sorting (sample.go): pick one key from every
-//     SampleRate-record block (stratified sampling with probability
-//     p = 1/SampleRate) and sort the sample with the parallel radix sort.
+//  1. Sampling and sorting (sample.go): draw one key per block of
+//     records in adaptive rounds, a pilot over every hash range and then
+//     top-ups over the ranges whose estimate has not converged, within
+//     the budget of the paper's stratified sample (one key per
+//     SampleRate-record block, its one-round special case). Then sort the
+//     sample with an MSD radix sort on bare keys that skips the digits a
+//     node's keys share and stays serial at sample size.
 //  2. Bucket construction (classify.go, buckets.go): classify sampled keys
 //     as heavy (≥ Delta sample occurrences) or light; allocate one array
 //     per heavy key and one per hash range of light keys, sizing each with

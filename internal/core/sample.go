@@ -14,24 +14,27 @@
 //     within tolerance, the round cap hits, or the one-shot sample
 //     budget (n/SampleRate total kept keys) is spent.
 //
-// The cumulative sample is then sorted once and handed to Phase 2
-// together with the sizeModel (estimator.go) carrying each range's
-// resulting density.
+// The cumulative sample is then sorted once (sortint.SortUint64With,
+// which stays serial below 2^17 keys) and handed to Phase 2 together
+// with the sizeModel (estimator.go) carrying each range's resulting
+// density.
 //
 // Determinism: the draw for block b of round r is keyed by the mixed
 // index (r<<42 | b) of the attempt's sampling RNG, the per-round range
-// selection is a serial function of the per-range histogram (itself a
-// sum, so independent of chunk grain), and kept keys land in
-// block-ascending order via a count/scan/fill pair — so the sample is
-// byte-identical across proc counts, and boosted retries (which keep
-// sampleAttempt) redraw it identically.
+// selection is a serial function of the per-range histogram, and kept
+// keys land in block-ascending order: a count pass and a scan fix each
+// chunk's write offset, then a fill pass draws and writes. A round that
+// selects every range skips the count pass, since each block then keeps
+// its draw, and the pilot always does. The histogram is folded serially
+// from the keys each round wrote. So the sample is byte-identical across
+// proc counts, and boosted retries (which keep sampleAttempt) redraw it
+// identically.
 package core
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/fault"
@@ -166,9 +169,10 @@ func (pl *plan) sampleBody() error {
 
 // sampleRound draws one round: every complete bs-record block contributes
 // one fixed-seed key choice, kept iff its hash range is selected this
-// round. Kept keys append to the cumulative sample in block order via a
-// count/scan/fill pass pair, and the per-range histogram and densities
-// are folded in.
+// round. Kept keys append to the cumulative sample in block order: a count
+// pass (skipped when every range is selected) and a scan give each chunk
+// its offset, a fill pass writes the keys, and the per-range histogram and
+// densities are folded in from what the round wrote.
 func (pl *plan) sampleRound(round, bs int) error {
 	nblk := pl.n / bs
 	if nblk == 0 {
@@ -186,7 +190,14 @@ func (pl *plan) sampleRound(round, bs int) error {
 	pl.smplGrain = grain
 	nchunks := (nblk + grain - 1) / grain
 	pl.smplCnt = grow(&pl.ws.smplCnt, nchunks)
-	if err := pl.parFor(nchunks, 1, (*plan).sampleCountChunk); err != nil {
+	if pl.smplSelCount == pl.numLight {
+		// Every range is selected, so every block keeps its draw: a
+		// chunk's kept count is its block count, and the count pass
+		// would only redraw what the geometry already fixes.
+		for ci := range pl.smplCnt {
+			pl.smplCnt[ci] = int32(min((ci+1)*grain, nblk) - ci*grain)
+		}
+	} else if err := pl.parFor(nchunks, 1, (*plan).sampleCountChunk); err != nil {
 		pl.tr.roundSpan(pl.attempt, t0, obsv.OutcomeCanceled, int64(pl.smplSelCount))
 		return err
 	}
@@ -202,6 +213,9 @@ func (pl *plan) sampleRound(round, bs int) error {
 	if err := pl.parFor(nchunks, 1, (*plan).sampleFillChunk); err != nil {
 		pl.tr.roundSpan(pl.attempt, t0, obsv.OutcomeCanceled, int64(pl.smplSelCount))
 		return err
+	}
+	for _, k := range pl.sample[pl.ns:total] {
+		pl.smplHist[k>>pl.shift]++
 	}
 	d := 1.0 / float64(bs)
 	for j, s := range pl.smplSel {
@@ -235,9 +249,9 @@ func (pl *plan) sampleCountChunk(clo, chi int) {
 	}
 }
 
-// sampleFillChunk redraws the same choices and writes the kept keys at
-// the chunk's scanned offset, accumulating the per-range histogram
-// (atomic adds of a fixed multiset — deterministic sums).
+// sampleFillChunk draws the chunk's keys (the count pass's choices, when
+// it ran) and writes the kept ones at the chunk's scanned offset.
+// sampleRound folds the per-range histogram from the written keys.
 func (pl *plan) sampleFillChunk(clo, chi int) {
 	bs := pl.smplBS
 	tag := uint64(pl.smplRound) << 42
@@ -252,7 +266,6 @@ func (pl *plan) sampleFillChunk(clo, chi int) {
 			if pl.smplSel[r] != 0 {
 				pl.sample[off] = k
 				off++
-				atomic.AddInt32(&pl.smplHist[r], 1)
 			}
 		}
 	}

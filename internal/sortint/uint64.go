@@ -1,11 +1,26 @@
 package sortint
 
 import (
+	"math/bits"
+
 	"repro/internal/parallel"
 )
 
-// SortUint64 sorts keys in place using the same parallel top-down MSD
-// radix structure as RadixSort, specialized to bare 64-bit keys (half the
+const (
+	// u64SerialMax is the size below which SortUint64With sorts on one
+	// worker whatever procs says. BenchmarkSortUint64Sample (EXPERIMENTS.md)
+	// finds the parallel passes no faster at 64Ki keys, the largest sample
+	// a 2^20-record input draws, so every sample up to that size stays
+	// serial and allocation-free.
+	u64SerialMax = 1 << 17
+	// Serial nodes of at most u64WideMax keys finish in one counting pass
+	// whose digit, at most u64WideBits wide, matches their size.
+	u64WideMax  = 8192
+	u64WideBits = 12
+)
+
+// SortUint64 sorts keys in place using the same top-down MSD radix
+// structure as RadixSort, specialized to bare 64-bit keys (half the
 // memory traffic of Record sorting). The semisort uses it for its sample,
 // which consists of keys only.
 func SortUint64(procs int, keys []uint64) {
@@ -17,7 +32,13 @@ func SortUint64(procs int, keys []uint64) {
 }
 
 // SortUint64With is SortUint64 with a caller-provided scratch buffer of at
-// least len(keys).
+// least len(keys). Below u64SerialMax keys, or at procs 1, it allocates
+// nothing.
+//
+// Every radix node first ORs k ^ k[0] over its keys. A node whose keys are
+// all equal is done; any other node starts at the aligned digit holding
+// the highest bit its keys differ in, so digits every key shares cost one
+// read instead of a counting pass each.
 func SortUint64With(procs int, keys, scratch []uint64) {
 	if len(keys) <= 1 {
 		return
@@ -25,150 +46,193 @@ func SortUint64With(procs int, keys, scratch []uint64) {
 	if len(scratch) < len(keys) {
 		panic("sortint: scratch buffer too small")
 	}
+	scratch = scratch[:len(keys)]
 	procs = parallel.Procs(procs)
-	if procs == 1 {
-		// Closure-free serial recursion: the generic path builds a body
-		// closure per recursion node (it can escape into the limiter's
-		// deferred-work list), which costs an allocation even when the
-		// limiter is nil. The serial variants inline the bucket loop so a
-		// single-worker sort allocates nothing.
-		u64SortSerial(keys, scratch[:len(keys)], 64-radixBits)
+	if procs == 1 || len(keys) < u64SerialMax {
+		u64Serial(keys, scratch, false)
 		return
 	}
-	lim := parallel.NewLimiter(procs)
-	u64SortInPlace(procs, lim, keys, scratch[:len(keys)], 64-radixBits)
+	u64Parallel(procs, parallel.NewLimiter(procs), keys, scratch, false)
 }
 
-// u64SortSerial is u64SortInPlace specialized to one worker with the
-// recursion inlined (no body closures, no limiter).
-func u64SortSerial(a, scratch []uint64, shift int) {
-	n := len(a)
-	if n <= smallCutoff {
-		u64InsertionSort(a)
-		return
+// u64Diff returns the OR of k ^ a[0] over the non-empty a: zero when every
+// key is equal, else a word whose highest set bit is the highest bit in
+// which a's keys differ.
+func u64Diff(a []uint64) uint64 {
+	k0, d := a[0], uint64(0)
+	for _, k := range a[1:] {
+		d |= k ^ k0
 	}
-	if shift < 0 {
-		return
-	}
-	starts := u64RadixPass(1, a, scratch, shift)
-	for b := 0; b < radixBuckets; b++ {
-		lo, hi := starts[b], starts[b+1]
-		switch {
-		case hi-lo == 1:
-			a[lo] = scratch[lo]
-		case hi-lo > 1:
-			u64SortSerialInto(scratch[lo:hi], a[lo:hi], shift-radixBits)
-		}
-	}
+	return d
 }
 
-// u64SortSerialInto is u64SortInto specialized to one worker.
-func u64SortSerialInto(src, dst []uint64, shift int) {
+// u64Shift is the shift of the aligned radixBits-wide digit that holds
+// the highest set bit of the non-zero diff.
+func u64Shift(diff uint64) int {
+	return (bits.Len64(diff) - 1) / radixBits * radixBits
+}
+
+// u64Serial sorts src on one worker with the recursion inlined (no body
+// closures, no limiter), so it allocates nothing. The result ends in dst
+// when into is set, else in src; the other slice is scratch.
+//
+// A node of at most u64WideMax keys finishes in one size-matched pass:
+// its digit is the top w = min(u64WideBits, bits.Len(n)) bits from the
+// highest differing bit down, so a child holds about one key on average.
+// Children of more than smallCutoff keys recurse; one insertion pass over
+// the whole node then orders the keys within each child (the digit
+// already orders the children). Larger nodes run the 8-bit pass and
+// recurse per byte bin.
+func u64Serial(src, dst []uint64, into bool) {
 	n := len(src)
 	if n <= smallCutoff {
-		copy(dst, src)
-		u64InsertionSort(dst)
-		return
-	}
-	if shift < 0 {
-		copy(dst, src)
-		return
-	}
-	starts := u64RadixPass(1, src, dst, shift)
-	for b := 0; b < radixBuckets; b++ {
-		lo, hi := starts[b], starts[b+1]
-		if hi-lo > 0 {
-			u64SortSerial(dst[lo:hi], src[lo:hi], shift-radixBits)
+		if into {
+			copy(dst, src)
+			src = dst
 		}
-	}
-}
-
-func u64SortInPlace(procs int, lim parallel.Joiner, a, scratch []uint64, shift int) {
-	n := len(a)
-	if n <= smallCutoff {
-		u64InsertionSort(a)
+		u64InsertionSort(src)
 		return
 	}
-	if shift < 0 {
-		return
-	}
-	starts := u64RadixPass(procs, a, scratch, shift)
-	u64RecurseBuckets(lim, starts, func(lo, hi int) {
-		if hi-lo == 1 {
-			a[lo] = scratch[lo]
-			return
+	d := u64Diff(src)
+	if d == 0 {
+		if into {
+			copy(dst, src)
 		}
-		u64SortInto(procs, lim, scratch[lo:hi], a[lo:hi], shift-radixBits)
-	})
-}
-
-func u64SortInto(procs int, lim parallel.Joiner, src, dst []uint64, shift int) {
-	n := len(src)
-	if n <= smallCutoff {
-		copy(dst, src)
-		u64InsertionSort(dst)
 		return
 	}
-	if shift < 0 {
-		copy(dst, src)
-		return
-	}
-	starts := u64RadixPass(procs, src, dst, shift)
-	u64RecurseBuckets(lim, starts, func(lo, hi int) {
-		u64SortInPlace(procs, lim, dst[lo:hi], src[lo:hi], shift-radixBits)
-	})
-}
-
-func u64RecurseBuckets(lim parallel.Joiner, starts [radixBuckets + 1]int, body func(lo, hi int)) {
-	n := starts[radixBuckets]
-	if !lim.Parallel() || n < seqCutoff {
-		for b := 0; b < radixBuckets; b++ {
-			if starts[b+1] > starts[b] {
-				body(starts[b], starts[b+1])
+	if n > u64WideMax {
+		var c [radixBuckets]int32
+		shift := u64Shift(d)
+		u64Count(src, c[:], shift)
+		u64Scatter(src, dst, c[:], shift)
+		lo := 0
+		for _, e := range c {
+			hi := int(e)
+			switch {
+			case hi-lo == 1 && !into:
+				src[lo] = dst[lo]
+			case hi-lo > 1:
+				u64Serial(dst[lo:hi], src[lo:hi], !into)
 			}
+			lo = hi
 		}
 		return
 	}
+	hb := bits.Len64(d)
+	w := min(u64WideBits, bits.Len(uint(n)), hb)
+	if w <= radixBits {
+		var c [radixBuckets]int32
+		u64Final(src, dst, c[:1<<w], hb-w, into)
+	} else {
+		var c [1 << u64WideBits]int32
+		u64Final(src, dst, c[:1<<w], hb-w, into)
+	}
+}
+
+// u64Final is u64Serial's size-matched pass of src into dst by the digit
+// at shift whose width len(ends) sets, and its closing insertion pass.
+func u64Final(src, dst []uint64, ends []int32, shift int, into bool) {
+	u64Count(src, ends, shift)
+	u64Scatter(src, dst, ends, shift)
+	lo := 0
+	for _, e := range ends {
+		hi := int(e)
+		if hi-lo > smallCutoff {
+			u64Serial(dst[lo:hi], src[lo:hi], false)
+		}
+		lo = hi
+	}
+	if into {
+		u64InsertionSort(dst)
+	} else {
+		u64InsertionSortInto(src, dst)
+	}
+}
+
+// u64Count histograms src by its digit at shift into c, whose length (a
+// power of two) sets the digit width.
+//
+//go:noinline
+func u64Count(src []uint64, c []int32, shift int) {
+	s, m := uint(shift)&63, uint64(len(c)-1)
+	for _, k := range src {
+		c[k>>s&m]++
+	}
+}
+
+// u64Scatter distributes src into dst by its digit at shift, given the
+// digit's histogram c, and leaves in c[d] the end of bin d in dst.
+//
+//go:noinline
+func u64Scatter(src, dst []uint64, c []int32, shift int) {
+	sum := int32(0)
+	for d, v := range c {
+		c[d] = sum
+		sum += v
+	}
+	s, m := uint(shift)&63, uint64(len(c)-1)
+	for _, k := range src {
+		d := k >> s & m
+		dst[c[d]] = k
+		c[d]++
+	}
+}
+
+// u64Parallel is u64Serial's 8-bit recursion with parallel passes and
+// forked children; nodes below seqCutoff finish in u64Serial.
+func u64Parallel(procs int, lim parallel.Joiner, src, dst []uint64, into bool) {
+	if !lim.Parallel() || len(src) < seqCutoff {
+		u64Serial(src, dst, into)
+		return
+	}
+	d := u64DiffParallel(procs, src)
+	if d == 0 {
+		if into {
+			copy(dst, src)
+		}
+		return
+	}
+	starts := u64RadixPass(procs, src, dst, u64Shift(d))
 	var fns []func()
 	for b := 0; b < radixBuckets; b++ {
 		lo, hi := starts[b], starts[b+1]
 		switch {
-		case hi-lo == 1:
-			body(lo, hi)
+		case hi-lo == 1 && !into:
+			src[lo] = dst[lo]
 		case hi-lo > 1:
-			fns = append(fns, func() { body(lo, hi) })
+			fns = append(fns, func() { u64Parallel(procs, lim, dst[lo:hi], src[lo:hi], !into) })
 		}
 	}
 	lim.JoinAll(fns...)
 }
 
+// u64DiffParallel is u64Diff over parallel blocks.
+func u64DiffParallel(procs int, a []uint64) uint64 {
+	n := len(a)
+	grain := parallel.Grain(n, procs, 1<<13)
+	diffs := make([]uint64, (n+grain-1)/grain)
+	parallel.For(procs, len(diffs), 1, func(lo, hi int) {
+		for blk := lo; blk < hi; blk++ {
+			k0, d := a[0], uint64(0)
+			for _, k := range a[blk*grain : min((blk+1)*grain, n)] {
+				d |= k ^ k0
+			}
+			diffs[blk] = d
+		}
+	})
+	var d uint64
+	for _, v := range diffs {
+		d |= v
+	}
+	return d
+}
+
+// u64RadixPass distributes src into dst by the 8-bit digit at shift with
+// parallel count and scatter passes over blocks, returning each bin's
+// start in dst (starts[radixBuckets] is len(src)).
 func u64RadixPass(procs int, src, dst []uint64, shift int) [radixBuckets + 1]int {
 	n := len(src)
 	var starts [radixBuckets + 1]int
-	if procs == 1 || n < seqCutoff {
-		// No byteOf closure here: sharing one closure with the parallel
-		// branch forces it to the heap (the parallel.For bodies escape), and
-		// this pass runs once per recursion node — serial sorts would pay an
-		// allocation per node for a closure they never needed.
-		var counts [radixBuckets]int
-		for i := 0; i < n; i++ {
-			counts[int(src[i]>>uint(shift))&(radixBuckets-1)]++
-		}
-		sum := 0
-		var offs [radixBuckets]int
-		for b := 0; b < radixBuckets; b++ {
-			starts[b] = sum
-			offs[b] = sum
-			sum += counts[b]
-		}
-		starts[radixBuckets] = sum
-		for i := 0; i < n; i++ {
-			b := int(src[i]>>uint(shift)) & (radixBuckets - 1)
-			dst[offs[b]] = src[i]
-			offs[b]++
-		}
-		return starts
-	}
 	byteOf := func(k uint64) int { return int(k>>uint(shift)) & (radixBuckets - 1) }
 
 	grain := parallel.Grain(n, procs, 1<<13)
@@ -207,14 +271,19 @@ func u64RadixPass(procs int, src, dst []uint64, shift int) [radixBuckets + 1]int
 	return starts
 }
 
-func u64InsertionSort(a []uint64) {
-	for i := 1; i < len(a); i++ {
-		v := a[i]
+func u64InsertionSort(a []uint64) { u64InsertionSortInto(a, a) }
+
+// u64InsertionSortInto sorts src into dst, which must be as long as src
+// and may be src itself. It is quadratic in the distance keys move, so it
+// also finishes a node whose keys are already near their place.
+func u64InsertionSortInto(dst, src []uint64) {
+	dst = dst[:len(src)]
+	for i, v := range src {
 		j := i - 1
-		for j >= 0 && a[j] > v {
-			a[j+1] = a[j]
+		for j >= 0 && dst[j] > v {
+			dst[j+1] = dst[j]
 			j--
 		}
-		a[j+1] = v
+		dst[j+1] = v
 	}
 }

@@ -1,7 +1,10 @@
 package sortint
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -134,5 +137,105 @@ func BenchmarkSortUint64_1M(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		copy(a, orig)
 		SortUint64With(0, a, scratch)
+	}
+}
+
+// sampleKeys builds n Phase-1-shaped sample keys: "unique" hashes
+// distinct integers; "exp" hashes exponential(10^3) draws, the sample a
+// 2^20-record exponential(n/10^3) input keeps at SampleRate 16, where
+// most keys sit in runs far longer than smallCutoff.
+func sampleKeys(shape string, n int) []uint64 {
+	r := rand.New(rand.NewSource(int64(n)))
+	a := make([]uint64, n)
+	for i := range a {
+		if shape == "unique" {
+			a[i] = dtMix(uint64(i))
+		} else {
+			a[i] = dtMix(uint64(r.ExpFloat64() * 1e3))
+		}
+	}
+	return a
+}
+
+// BenchmarkSortUint64Sample sorts sample-sized key sets at Procs 1 and
+// 2; it sets the size below which SortUint64With stays serial.
+func BenchmarkSortUint64Sample(b *testing.B) {
+	for _, n := range []int{1 << 14, 1 << 16} {
+		for _, shape := range []string{"unique", "exp"} {
+			orig := sampleKeys(shape, n)
+			a := make([]uint64, n)
+			scratch := make([]uint64, n)
+			for _, procs := range []int{1, 2} {
+				b.Run(fmt.Sprintf("n=%dKi/%s/procs=%d", n>>10, shape, procs), func(b *testing.B) {
+					b.SetBytes(int64(n) * 8)
+					for i := 0; i < b.N; i++ {
+						copy(a, orig)
+						SortUint64With(procs, a, scratch)
+					}
+				})
+			}
+		}
+	}
+}
+
+// A warm SortUint64With below u64SerialMax allocates nothing, at Procs 1
+// and 2 alike: the sample sort of every input up to 2^21 records runs on
+// the caller's buffers only.
+func TestSortUint64WithNoAllocs(t *testing.T) {
+	const n = 1 << 16
+	for _, shape := range []string{"unique", "exp"} {
+		orig := sampleKeys(shape, n)
+		a := make([]uint64, n)
+		scratch := make([]uint64, n)
+		for _, procs := range []int{1, 2} {
+			allocs := testing.AllocsPerRun(5, func() {
+				copy(a, orig)
+				SortUint64With(procs, a, scratch)
+			})
+			if allocs != 0 {
+				t.Errorf("%s procs=%d: %v allocs per sort, want 0", shape, procs, allocs)
+			}
+			if !u64Sorted(a) {
+				t.Errorf("%s procs=%d: not sorted", shape, procs)
+			}
+		}
+	}
+}
+
+// Above u64SerialMax the parallel passes run: their per-node digit skip
+// must match slices.Sort on near-unique, duplicate-heavy, shared-prefix
+// and all-equal keys, and on two keys and a singleton, whose top-pass
+// bins each hold one key.
+func TestSortUint64Parallel(t *testing.T) {
+	const n = u64SerialMax + 1000
+	shapes := map[string]func(i int) uint64{
+		"unique": func(i int) uint64 { return dtMix(uint64(i)) },
+		"dups":   func(i int) uint64 { return dtMix(uint64(i % 97)) },
+		"prefix": func(i int) uint64 { return 0xabcd<<48 | dtMix(uint64(i))&0xfffff },
+		"equal":  func(int) uint64 { return 42 },
+		"two": func(i int) uint64 {
+			switch {
+			case i == 0:
+				return math.MaxUint64 // a top-pass bin of one key
+			case i%2 == 0:
+				return 7
+			}
+			return 1 << 63
+		},
+	}
+	for name, key := range shapes {
+		in := make([]uint64, n)
+		for i := range in {
+			in[i] = key(i)
+		}
+		want := slices.Clone(in)
+		slices.Sort(want)
+		for _, procs := range []int{2, 4} {
+			got := slices.Clone(in)
+			SortUint64(procs, got)
+			if !slices.Equal(got, want) {
+				t.Errorf("%s procs=%d: output differs from slices.Sort", name, procs)
+			}
+		}
 	}
 }
