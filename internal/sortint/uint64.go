@@ -206,18 +206,17 @@ func u64Parallel(procs int, lim parallel.Joiner, src, dst []uint64, into bool) {
 	lim.JoinAll(fns...)
 }
 
-// u64DiffParallel is u64Diff over parallel blocks.
+// u64DiffParallel is u64Diff over parallel blocks. A block's word ORs its
+// own u64Diff with its first key's difference from a[0]; the union's
+// highest set bit is still the highest bit in which a's keys differ.
 func u64DiffParallel(procs int, a []uint64) uint64 {
 	n := len(a)
 	grain := parallel.Grain(n, procs, 1<<13)
 	diffs := make([]uint64, (n+grain-1)/grain)
 	parallel.For(procs, len(diffs), 1, func(lo, hi int) {
 		for blk := lo; blk < hi; blk++ {
-			k0, d := a[0], uint64(0)
-			for _, k := range a[blk*grain : min((blk+1)*grain, n)] {
-				d |= k ^ k0
-			}
-			diffs[blk] = d
+			b := a[blk*grain : min((blk+1)*grain, n)]
+			diffs[blk] = u64Diff(b) | b[0]^a[0]
 		}
 	})
 	var d uint64
