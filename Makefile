@@ -25,8 +25,8 @@ race:
 
 # stress mirrors the CI race-stress matrix: core + parallel under the race
 # detector at several GOMAXPROCS, repeated, so both scatter strategies see
-# varied interleavings; then the bare-key sample sort, whose parallel
-# passes skip shared digits per node.
+# varied interleavings; then the bare-key sample sort and its per-node
+# digit skip, whose output must not depend on GOMAXPROCS or procs.
 stress:
 	for p in 1 2 8; do \
 		GOMAXPROCS=$$p $(GO) test -race -count=3 -short ./internal/core/... ./internal/parallel/... || exit 1; \

@@ -13,7 +13,7 @@
 //     the budget of the paper's stratified sample (one key per
 //     SampleRate-record block, its one-round special case). Then sort the
 //     sample with an MSD radix sort on bare keys that skips the digits a
-//     node's keys share and stays serial at sample size.
+//     node's keys share and runs on one worker.
 //  2. Bucket construction (classify.go, buckets.go): classify sampled keys
 //     as heavy (≥ Delta sample occurrences) or light; allocate one array
 //     per heavy key and one per hash range of light keys, sizing each with

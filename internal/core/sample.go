@@ -15,9 +15,8 @@
 //     budget (n/SampleRate total kept keys) is spent.
 //
 // The cumulative sample is then sorted once (sortint.SortUint64With,
-// which stays serial below 2^17 keys) and handed to Phase 2 together
-// with the sizeModel (estimator.go) carrying each range's resulting
-// density.
+// serial and allocation-free) and handed to Phase 2 together with the
+// sizeModel (estimator.go) carrying each range's resulting density.
 //
 // Determinism: the draw for block b of round r is keyed by the mixed
 // index (r<<42 | b) of the attempt's sampling RNG, the per-round range

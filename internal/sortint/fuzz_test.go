@@ -95,14 +95,15 @@ func FuzzDovetailSemisort(f *testing.F) {
 }
 
 // u64FuzzKeys builds the FuzzSortUint64 input from arbitrary bytes. Two
-// bytes give the key count: their low 14 bits, moved to straddle
-// u64SerialMax when the top two bits are set, so a quarter of the inputs
-// take the parallel passes at Procs 2. The other bytes are 16-bit words w
-// repeated cyclically; key i derives from v = w[i%m] + i/m. The shape
-// byte picks the key: hashed v (near-unique), hashed v modulo a small
-// count (duplicate-heavy), v under a shared 48-bit prefix (sequential
-// keys that agree on their high bits), one key for every record, or v
-// mapped onto extremes around 0, 1<<63 and MaxUint64.
+// bytes give the key count: their low 14 bits, which straddle smallCutoff
+// and u64WideMax, moved up by 2^16 when the top two bits are set, so a
+// quarter of the inputs exceed the largest sample of a 2^20-record input.
+// The other bytes are 16-bit words w repeated cyclically; key i derives
+// from v = w[i%m] + i/m. The shape byte picks the key: hashed v
+// (near-unique), hashed v modulo a small count (duplicate-heavy), v under
+// a shared 48-bit prefix (sequential keys that agree on their high bits),
+// one key for every record, or v mapped onto extremes around 0, 1<<63 and
+// MaxUint64.
 func u64FuzzKeys(shape byte, size uint16, data []byte) []uint64 {
 	m := len(data) / 2
 	if m == 0 {
@@ -110,7 +111,7 @@ func u64FuzzKeys(shape byte, size uint16, data []byte) []uint64 {
 	}
 	n := int(size & (1<<14 - 1))
 	if size>>14 == 3 {
-		n += u64SerialMax - 1<<13
+		n += 1 << 16
 	}
 	extremes := [...]uint64{0, 1, 1<<63 - 1, 1 << 63, math.MaxUint64 - 1, math.MaxUint64}
 	a := make([]uint64, n)

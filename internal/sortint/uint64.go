@@ -1,28 +1,20 @@
 package sortint
 
-import (
-	"math/bits"
-
-	"repro/internal/parallel"
-)
+import "math/bits"
 
 const (
-	// u64SerialMax is the size below which SortUint64With sorts on one
-	// worker whatever procs says. BenchmarkSortUint64Sample (EXPERIMENTS.md)
-	// finds the parallel passes no faster at 64Ki keys, the largest sample
-	// a 2^20-record input draws, so every sample up to that size stays
-	// serial and allocation-free.
-	u64SerialMax = 1 << 17
-	// Serial nodes of at most u64WideMax keys finish in one counting pass
-	// whose digit, at most u64WideBits wide, matches their size.
+	// Nodes of at most u64WideMax keys finish in one counting pass whose
+	// digit, at most u64WideBits wide, matches their size; larger nodes
+	// take an aligned 8-bit pass and recurse per bin. One size-matched
+	// pass for every node sorted 64Ki hashed keys 1.5x slower; cutoffs
+	// from 2048 to 16384 measured alike (EXPERIMENTS.md).
 	u64WideMax  = 8192
 	u64WideBits = 12
 )
 
-// SortUint64 sorts keys in place using the same top-down MSD radix
-// structure as RadixSort, specialized to bare 64-bit keys (half the
-// memory traffic of Record sorting). The semisort uses it for its sample,
-// which consists of keys only.
+// SortUint64 sorts keys in place with a top-down MSD radix sort on bare
+// 64-bit keys (half the memory traffic of Record sorting). The semisort
+// uses it for its sample, which consists of keys only.
 func SortUint64(procs int, keys []uint64) {
 	if len(keys) <= 1 {
 		return
@@ -32,13 +24,15 @@ func SortUint64(procs int, keys []uint64) {
 }
 
 // SortUint64With is SortUint64 with a caller-provided scratch buffer of at
-// least len(keys). Below u64SerialMax keys, or at procs 1, it allocates
-// nothing.
+// least len(keys); it allocates nothing. It runs on one worker whatever
+// procs says: BenchmarkSortUint64Sample (EXPERIMENTS.md) found parallel
+// passes slower than one worker at every size measured, 64Ki keys (the
+// largest sample a 2^20-record input draws) and 256Ki alike.
 //
 // Every radix node first ORs k ^ k[0] over its keys. A node whose keys are
-// all equal is done; any other node starts at the aligned digit holding
-// the highest bit its keys differ in, so digits every key shares cost one
-// read instead of a counting pass each.
+// all equal is done; any other node starts at the highest bit its keys
+// differ in, so digits every key shares cost one read instead of a
+// counting pass each.
 func SortUint64With(procs int, keys, scratch []uint64) {
 	if len(keys) <= 1 {
 		return
@@ -46,13 +40,7 @@ func SortUint64With(procs int, keys, scratch []uint64) {
 	if len(scratch) < len(keys) {
 		panic("sortint: scratch buffer too small")
 	}
-	scratch = scratch[:len(keys)]
-	procs = parallel.Procs(procs)
-	if procs == 1 || len(keys) < u64SerialMax {
-		u64Serial(keys, scratch, false)
-		return
-	}
-	u64Parallel(procs, parallel.NewLimiter(procs), keys, scratch, false)
+	u64Sort(keys, scratch[:len(keys)], false)
 }
 
 // u64Diff returns the OR of k ^ a[0] over the non-empty a: zero when every
@@ -66,24 +54,15 @@ func u64Diff(a []uint64) uint64 {
 	return d
 }
 
-// u64Shift is the shift of the aligned radixBits-wide digit that holds
-// the highest set bit of the non-zero diff.
-func u64Shift(diff uint64) int {
-	return (bits.Len64(diff) - 1) / radixBits * radixBits
-}
-
-// u64Serial sorts src on one worker with the recursion inlined (no body
-// closures, no limiter), so it allocates nothing. The result ends in dst
-// when into is set, else in src; the other slice is scratch.
+// u64Sort sorts src with the recursion inlined (no closures), so it
+// allocates nothing. The result ends in dst when into is set, else in src;
+// the other slice is scratch.
 //
-// A node of at most u64WideMax keys finishes in one size-matched pass:
-// its digit is the top w = min(u64WideBits, bits.Len(n)) bits from the
-// highest differing bit down, so a child holds about one key on average.
-// Children of more than smallCutoff keys recurse; one insertion pass over
-// the whole node then orders the keys within each child (the digit
-// already orders the children). Larger nodes run the 8-bit pass and
-// recurse per byte bin.
-func u64Serial(src, dst []uint64, into bool) {
+// A node of more than u64WideMax keys takes an 8-bit pass on the aligned
+// digit holding its highest differing bit and recurses per bin. A smaller
+// node finishes in u64Pass on its top w = min(u64WideBits, bits.Len(n))
+// differing bits, so a child holds about one key on average.
+func u64Sort(src, dst []uint64, into bool) {
 	n := len(src)
 	if n <= smallCutoff {
 		if into {
@@ -102,7 +81,7 @@ func u64Serial(src, dst []uint64, into bool) {
 	}
 	if n > u64WideMax {
 		var c [radixBuckets]int32
-		shift := u64Shift(d)
+		shift := (bits.Len64(d) - 1) / radixBits * radixBits
 		u64Count(src, c[:], shift)
 		u64Scatter(src, dst, c[:], shift)
 		lo := 0
@@ -112,7 +91,7 @@ func u64Serial(src, dst []uint64, into bool) {
 			case hi-lo == 1 && !into:
 				src[lo] = dst[lo]
 			case hi-lo > 1:
-				u64Serial(dst[lo:hi], src[lo:hi], !into)
+				u64Sort(dst[lo:hi], src[lo:hi], !into)
 			}
 			lo = hi
 		}
@@ -122,30 +101,32 @@ func u64Serial(src, dst []uint64, into bool) {
 	w := min(u64WideBits, bits.Len(uint(n)), hb)
 	if w <= radixBits {
 		var c [radixBuckets]int32
-		u64Final(src, dst, c[:1<<w], hb-w, into)
+		u64Pass(src, dst, c[:1<<w], hb-w, into)
 	} else {
 		var c [1 << u64WideBits]int32
-		u64Final(src, dst, c[:1<<w], hb-w, into)
+		u64Pass(src, dst, c[:1<<w], hb-w, into)
 	}
 }
 
-// u64Final is u64Serial's size-matched pass of src into dst by the digit
-// at shift whose width len(ends) sets, and its closing insertion pass.
-func u64Final(src, dst []uint64, ends []int32, shift int, into bool) {
+// u64Pass is u64Sort's counting pass of src into dst by the digit at
+// shift whose width len(ends) sets. Children of more than smallCutoff keys
+// recurse; one insertion pass over the whole node then orders the keys
+// within each smaller child (the digit already orders the children).
+func u64Pass(src, dst []uint64, ends []int32, shift int, into bool) {
 	u64Count(src, ends, shift)
 	u64Scatter(src, dst, ends, shift)
 	lo := 0
 	for _, e := range ends {
 		hi := int(e)
 		if hi-lo > smallCutoff {
-			u64Serial(dst[lo:hi], src[lo:hi], false)
+			u64Sort(dst[lo:hi], src[lo:hi], false)
 		}
 		lo = hi
 	}
 	if into {
 		u64InsertionSort(dst)
 	} else {
-		u64InsertionSortInto(src, dst)
+		u64InsertionSortInto(dst, src)
 	}
 }
 
@@ -178,104 +159,12 @@ func u64Scatter(src, dst []uint64, c []int32, shift int) {
 	}
 }
 
-// u64Parallel is u64Serial's 8-bit recursion with parallel passes and
-// forked children; nodes below seqCutoff finish in u64Serial.
-func u64Parallel(procs int, lim parallel.Joiner, src, dst []uint64, into bool) {
-	if !lim.Parallel() || len(src) < seqCutoff {
-		u64Serial(src, dst, into)
-		return
-	}
-	d := u64DiffParallel(procs, src)
-	if d == 0 {
-		if into {
-			copy(dst, src)
-		}
-		return
-	}
-	starts := u64RadixPass(procs, src, dst, u64Shift(d))
-	var fns []func()
-	for b := 0; b < radixBuckets; b++ {
-		lo, hi := starts[b], starts[b+1]
-		switch {
-		case hi-lo == 1 && !into:
-			src[lo] = dst[lo]
-		case hi-lo > 1:
-			fns = append(fns, func() { u64Parallel(procs, lim, dst[lo:hi], src[lo:hi], !into) })
-		}
-	}
-	lim.JoinAll(fns...)
-}
-
-// u64DiffParallel is u64Diff over parallel blocks. A block's word ORs its
-// own u64Diff with its first key's difference from a[0]; the union's
-// highest set bit is still the highest bit in which a's keys differ.
-func u64DiffParallel(procs int, a []uint64) uint64 {
-	n := len(a)
-	grain := parallel.Grain(n, procs, 1<<13)
-	diffs := make([]uint64, (n+grain-1)/grain)
-	parallel.For(procs, len(diffs), 1, func(lo, hi int) {
-		for blk := lo; blk < hi; blk++ {
-			b := a[blk*grain : min((blk+1)*grain, n)]
-			diffs[blk] = u64Diff(b) | b[0]^a[0]
-		}
-	})
-	var d uint64
-	for _, v := range diffs {
-		d |= v
-	}
-	return d
-}
-
-// u64RadixPass distributes src into dst by the 8-bit digit at shift with
-// parallel count and scatter passes over blocks, returning each bin's
-// start in dst (starts[radixBuckets] is len(src)).
-func u64RadixPass(procs int, src, dst []uint64, shift int) [radixBuckets + 1]int {
-	n := len(src)
-	var starts [radixBuckets + 1]int
-	byteOf := func(k uint64) int { return int(k>>uint(shift)) & (radixBuckets - 1) }
-
-	grain := parallel.Grain(n, procs, 1<<13)
-	nblocks := (n + grain - 1) / grain
-	counts := make([][radixBuckets]int32, nblocks)
-	parallel.For(procs, nblocks, 1, func(lo, hi int) {
-		for blk := lo; blk < hi; blk++ {
-			s, e := blk*grain, min((blk+1)*grain, n)
-			c := &counts[blk]
-			for i := s; i < e; i++ {
-				c[byteOf(src[i])]++
-			}
-		}
-	})
-	sum := 0
-	offsets := make([][radixBuckets]int32, nblocks)
-	for b := 0; b < radixBuckets; b++ {
-		starts[b] = sum
-		for blk := 0; blk < nblocks; blk++ {
-			offsets[blk][b] = int32(sum)
-			sum += int(counts[blk][b])
-		}
-	}
-	starts[radixBuckets] = sum
-	parallel.For(procs, nblocks, 1, func(lo, hi int) {
-		for blk := lo; blk < hi; blk++ {
-			s, e := blk*grain, min((blk+1)*grain, n)
-			offs := offsets[blk]
-			for i := s; i < e; i++ {
-				b := byteOf(src[i])
-				dst[offs[b]] = src[i]
-				offs[b]++
-			}
-		}
-	})
-	return starts
-}
-
 func u64InsertionSort(a []uint64) { u64InsertionSortInto(a, a) }
 
 // u64InsertionSortInto sorts src into dst, which must be as long as src
 // and may be src itself. It is quadratic in the distance keys move, so it
 // also finishes a node whose keys are already near their place.
-func u64InsertionSortInto(dst, src []uint64) {
+func u64InsertionSortInto(src, dst []uint64) {
 	dst = dst[:len(src)]
 	for i, v := range src {
 		j := i - 1

@@ -158,7 +158,8 @@ func sampleKeys(shape string, n int) []uint64 {
 }
 
 // BenchmarkSortUint64Sample sorts sample-sized key sets at Procs 1 and
-// 2; it sets the size below which SortUint64With stays serial.
+// 2. EXPERIMENTS.md records the runs of it that removed the sort's
+// parallel passes and set u64WideMax.
 func BenchmarkSortUint64Sample(b *testing.B) {
 	for _, n := range []int{1 << 14, 1 << 16} {
 		for _, shape := range []string{"unique", "exp"} {
@@ -178,9 +179,9 @@ func BenchmarkSortUint64Sample(b *testing.B) {
 	}
 }
 
-// A warm SortUint64With below u64SerialMax allocates nothing, at Procs 1
-// and 2 alike: the sample sort of every input up to 2^21 records runs on
-// the caller's buffers only.
+// A warm SortUint64With allocates nothing, at Procs 1 and 2 alike: the
+// sample sort of every input up to 2^21 records runs on the caller's
+// buffers only.
 func TestSortUint64WithNoAllocs(t *testing.T) {
 	const n = 1 << 16
 	for _, shape := range []string{"unique", "exp"} {
@@ -202,12 +203,11 @@ func TestSortUint64WithNoAllocs(t *testing.T) {
 	}
 }
 
-// Above u64SerialMax the parallel passes run: their per-node digit skip
-// must match slices.Sort on near-unique, duplicate-heavy, shared-prefix
-// and all-equal keys, and on two keys and a singleton, whose top-pass
-// bins each hold one key.
-func TestSortUint64Parallel(t *testing.T) {
-	const n = u64SerialMax + 1000
+// Above the largest sample size the sort must still match slices.Sort on
+// near-unique, duplicate-heavy, shared-prefix and all-equal keys, and on
+// two keys plus a singleton, whose top pass puts one key in a bin alone.
+func TestSortUint64Shapes(t *testing.T) {
+	const n = 1<<17 + 1000
 	shapes := map[string]func(i int) uint64{
 		"unique": func(i int) uint64 { return dtMix(uint64(i)) },
 		"dups":   func(i int) uint64 { return dtMix(uint64(i % 97)) },
