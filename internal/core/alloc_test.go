@@ -321,6 +321,7 @@ func TestWorkspaceRelease(t *testing.T) {
 				t.Fatal("warm workspace reports zero retained bytes")
 			}
 			checkBidsRetained(t, ws, r.name, n)
+			checkHeavyDirRetained(t, ws, r.name, st.HeavyKeys)
 			ws.Release()
 			if got := ws.RetainedBytes(); got != 0 {
 				t.Fatalf("RetainedBytes() = %d after Release, want 0", got)
@@ -375,8 +376,37 @@ func TestMaxRetainedBytes(t *testing.T) {
 				t.Error("uncapped workspace retained nothing")
 			}
 			checkBidsRetained(t, ws, r.name, n)
+			checkHeavyDirRetained(t, ws, r.name, st.HeavyKeys)
 		})
 	}
+}
+
+// checkHeavyDirRetained fails unless a warm workspace that classified
+// against heavy keys holds the heavy directory — cells, keys and
+// ids sized for them — and RetainedBytes counts all three arrays. A
+// call without heavy keys must not have built the directory at all.
+func checkHeavyDirRetained(t *testing.T, ws *Workspace, route string, heavy int) {
+	t.Helper()
+	if heavy == 0 {
+		if cap(ws.hdir)+cap(ws.hkeys)+cap(ws.hids) != 0 {
+			t.Fatalf("%s: no heavy keys, yet the workspace holds a heavy directory", route)
+		}
+		return
+	}
+	if c := cap(ws.hdir); c < 1<<heavyDirBits(heavy) {
+		t.Fatalf("%s: heavy directory holds %d cells, want >= %d", route, c, 1<<heavyDirBits(heavy))
+	}
+	if cap(ws.hkeys) < heavy || cap(ws.hids) < heavy {
+		t.Fatalf("%s: heavy keys/ids hold %d/%d entries, want >= %d", route, cap(ws.hkeys), cap(ws.hids), heavy)
+	}
+	want := 4*int64(cap(ws.hdir)) + 8*int64(cap(ws.hkeys)) + 4*int64(cap(ws.hids))
+	before := ws.RetainedBytes()
+	hdir, hkeys, hids := ws.hdir, ws.hkeys, ws.hids
+	ws.hdir, ws.hkeys, ws.hids = nil, nil, nil
+	if got := before - ws.RetainedBytes(); got != want {
+		t.Errorf("%s: RetainedBytes counts %d bytes for the heavy directory, want %d", route, got, want)
+	}
+	ws.hdir, ws.hkeys, ws.hids = hdir, hkeys, hids
 }
 
 // TestBoostMapRetained: the retry ladder's per-bucket boost map is

@@ -1,9 +1,10 @@
 // Phase 2b — bucket construction (paper Section 4, Phase 2, second
 // half): allocate one bucket per heavy key and one per (merged) light
 // hash range, sizing each with the high-probability estimate f(s) from
-// Section 3.1; record heavy keys in a phase-concurrent hash table.
-// Adjacent light buckets with fewer than Delta samples are merged (the
-// ~10% memory optimization of Phase 2).
+// Section 3.1; index the heavy keys in a cache-resident heavy directory
+// that Phase 3 classifies every record through. Adjacent light buckets
+// with fewer than Delta samples are merged (the ~10% memory optimization
+// of Phase 2).
 package core
 
 import (
@@ -12,7 +13,6 @@ import (
 	"math/bits"
 	"time"
 
-	"repro/internal/hashtable"
 	"repro/internal/obsv"
 )
 
@@ -32,12 +32,8 @@ func (pl *plan) allocatePhase() error {
 	tAlloc := time.Now()
 	c := &pl.cfg
 
-	// The heavy-key hash table maps key -> bucket index. One key value is
-	// reserved by the table as its empty marker; a heavy run with that
-	// exact key gets a dedicated bucket checked before the table lookup.
-	table := pl.ws.getTable(max(pl.numHeavy, 1))
-	pl.table = table
-	pl.emptyKeyBucket = -1
+	// Heavy run i gets bucket id i; the heavy directory maps key -> id.
+	pl.buildHeavyDir()
 	buckets := growEmpty(&pl.ws.buckets, pl.numHeavy+pl.numLight)
 	var slotTotal int64
 	for _, hr := range pl.heavyRuns {
@@ -48,11 +44,6 @@ func (pl *plan) allocatePhase() error {
 		}
 		buckets = append(buckets, bucket{off: slotTotal, sz: uint64(size)})
 		slotTotal += int64(size)
-		if hr.key == hashtable.Empty {
-			pl.emptyKeyBucket = id
-		} else {
-			table.Insert(hr.key, uint64(id))
-		}
 	}
 	pl.heavySlotEnd = slotTotal
 
@@ -94,20 +85,6 @@ func (pl *plan) allocatePhase() error {
 			}
 		}
 	}
-	// Dense heavy-directory fast path: flag every light hash range that
-	// contains a heavy key by storing the complement of its bucket id.
-	// bucketOf then resolves records in unflagged ranges — the common case
-	// when heavy keys are few — with one array load and no table probe,
-	// reserving the hash-and-probe slow path for the flagged ranges.
-	// The Empty-key heavy run flags its range too, covering the dedicated
-	// emptyKeyBucket check. (numLight >= 1 always, and a shift of 64 —
-	// numLight == 1 — indexes range 0, matching bucketOf's read.)
-	for _, hr := range pl.heavyRuns {
-		if j := hr.key >> pl.shift; pl.lightBucketOf[j] >= 0 {
-			pl.lightBucketOf[j] = ^pl.lightBucketOf[j]
-		}
-	}
-
 	pl.ws.buckets = buckets
 	pl.buckets = buckets
 	pl.firstLight = firstLight
@@ -163,6 +140,74 @@ func (pl *plan) allocatePhase() error {
 	pl.stats.Phases.Buckets = time.Since(pl.bucketsT0)
 	pl.tr.span(pl.attempt, obsv.PhaseAllocate, tAlloc, obsv.OutcomeOK)
 	return nil
+}
+
+// hdirMul is the heavy directory's multiplicative hash, 2^64/φ
+// (Fibonacci hashing): a record's cell is the top hbits bits of
+// key·hdirMul, which spreads small integers and hashed keys alike.
+const hdirMul = 0x9E3779B97F4A7C15
+
+// hdirMaxBits caps the directory at 2^16 int32 cells, 256 KiB, so it
+// stays resident in a typical per-core L2.
+const hdirMaxBits = 16
+
+// hidLast flags the last entry of a directory cell's run in hids.
+const hidLast = 1 << 31
+
+// noHeavyDir is the directory of an attempt without heavy keys: one
+// empty cell, which every key indexes through a shift of 64.
+var noHeavyDir = []int32{-1}
+
+// heavyDirBits sizes the directory for h heavy keys: the fewest bits
+// giving at least 8 cells per key (so 8–16), capped at hdirMaxBits.
+func heavyDirBits(h int) uint {
+	if h == 0 {
+		return 0
+	}
+	return min(uint(bits.Len(uint(8*h-1))), hdirMaxBits)
+}
+
+// buildHeavyDir indexes the heavy runs for classification (plan.classify).
+// Cell c of hdir holds -1 when no heavy key hashes to it, else the start
+// of its run in hkeys/hids, which are counting-sorted by cell; hids holds
+// the heavy bucket ids (run i has id i), the last of each run flagged
+// with hidLast. No key value is reserved.
+func (pl *plan) buildHeavyDir() {
+	h := len(pl.heavyRuns)
+	if h == 0 {
+		pl.hdir, pl.hkeys, pl.hids, pl.hshift = noHeavyDir, nil, nil, 64
+		return
+	}
+	shift := 64 - heavyDirBits(h)
+	dir := growClear(&pl.ws.hdir, 1<<(64-shift))
+	keys := grow(&pl.ws.hkeys, h)
+	ids := grow(&pl.ws.hids, h)
+	for _, hr := range pl.heavyRuns {
+		dir[(hr.key*hdirMul)>>shift]++
+	}
+	// Counts become run ends; placing the runs in reverse then walks each
+	// cell's cursor back to its run start and lists its ids ascending.
+	var end int32
+	for c, cnt := range dir {
+		if cnt == 0 {
+			dir[c] = -1
+			continue
+		}
+		end += cnt
+		dir[c] = end
+	}
+	for i := h - 1; i >= 0; i-- {
+		k := pl.heavyRuns[i].key
+		c := (k * hdirMul) >> shift
+		dir[c]--
+		keys[dir[c]], ids[dir[c]] = k, uint32(i)
+	}
+	for j := range ids {
+		if j == h-1 || (keys[j]*hdirMul)>>shift != (keys[j+1]*hdirMul)>>shift {
+			ids[j] |= hidLast
+		}
+	}
+	pl.hdir, pl.hkeys, pl.hids, pl.hshift = dir, keys, ids, shift
 }
 
 // sizeEstimate is the paper's f(s) multiplied by slack and, unless exact

@@ -17,10 +17,10 @@
 //  2. Bucket construction (classify.go, buckets.go): classify sampled keys
 //     as heavy (≥ Delta sample occurrences) or light; allocate one array
 //     per heavy key and one per hash range of light keys, sizing each with
-//     the high-probability estimate f(s) from Section 3.1; record heavy
-//     keys in a phase-concurrent hash table. Adjacent light buckets with
-//     fewer than Delta samples are merged (the ~10% memory optimization of
-//     Phase 2).
+//     the high-probability estimate f(s) from Section 3.1; index heavy
+//     keys in a cache-resident heavy directory, where the paper uses a
+//     phase-concurrent hash table. Adjacent light buckets with fewer than
+//     Delta samples are merged (the ~10% memory optimization of Phase 2).
 //  3. Scattering (scatter_probing.go, scatter_counting.go,
 //     scatter_dovetail.go). The default planner (ScatterAuto) reads the
 //     sample: under heavy duplication it places records with a

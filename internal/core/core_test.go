@@ -7,7 +7,6 @@ import (
 	"testing/quick"
 
 	"repro/internal/hash"
-	"repro/internal/hashtable"
 	"repro/internal/rec"
 )
 
@@ -151,13 +150,14 @@ func TestSemisortLinearWorkSpace(t *testing.T) {
 }
 
 func TestSemisortEmptySentinelKey(t *testing.T) {
-	// Records whose key equals the hash table's reserved Empty value must
-	// still be semisorted correctly, both when heavy and when light.
+	// Records whose key is the all-ones word — the empty-slot marker an
+	// open-addressing table reserves; the heavy directory reserves none —
+	// must still be semisorted correctly, both when heavy and when light.
 	t.Run("heavy", func(t *testing.T) {
 		a := make([]rec.Record, 50000)
 		for i := range a {
 			if i%2 == 0 {
-				a[i] = rec.Record{Key: hashtable.Empty, Value: uint64(i)}
+				a[i] = rec.Record{Key: ^uint64(0), Value: uint64(i)}
 			} else {
 				a[i] = rec.Record{Key: uint64(i), Value: uint64(i)}
 			}
@@ -173,8 +173,8 @@ func TestSemisortEmptySentinelKey(t *testing.T) {
 	})
 	t.Run("light", func(t *testing.T) {
 		a := mkRecords(50000, 0, 5)
-		a[17].Key = hashtable.Empty
-		a[18].Key = hashtable.Empty - 1
+		a[17].Key = ^uint64(0)
+		a[18].Key = ^uint64(0) - 1
 		out, _, err := Semisort(a, &Config{Procs: 4})
 		if err != nil {
 			t.Fatal(err)

@@ -19,7 +19,6 @@ import (
 	"time"
 
 	"repro/internal/hash"
-	"repro/internal/hashtable"
 	"repro/internal/obsv"
 	"repro/internal/parallel"
 	"repro/internal/rec"
@@ -139,11 +138,16 @@ type plan struct {
 	// the planner compares it against massTotal.
 	heavyMass atomic.Int64
 	// Bucket construction.
-	strat          ScatterStrategy
-	buckets        []bucket
-	table          *hashtable.Table
-	emptyKeyBucket int64
-	lightBucketOf  []int32
+	strat         ScatterStrategy
+	buckets       []bucket
+	lightBucketOf []int32
+	// Heavy directory (buildHeavyDir): hdir cells indexed by
+	// (key·hdirMul)>>hshift, each -1 or the start of its run in the
+	// cell-ordered hkeys/hids pair.
+	hdir           []int32
+	hkeys          []uint64
+	hids           []uint32
+	hshift         uint
 	firstLight     int
 	numLightMerged int
 	heavySlotEnd   int64
@@ -239,9 +243,8 @@ func (pl *plan) begin(ws *Workspace, a, dst []rec.Record, c *Config, sampleAttem
 	pl.lightCounts = nil
 	pl.heavyMass.Store(0)
 	pl.strat = ScatterAuto
-	pl.buckets, pl.table = nil, nil
-	pl.emptyKeyBucket = -1
-	pl.lightBucketOf = nil
+	pl.buckets, pl.lightBucketOf = nil, nil
+	pl.hdir, pl.hkeys, pl.hids, pl.hshift = nil, nil, nil, 0
 	pl.firstLight, pl.numLightMerged = 0, 0
 	pl.heavySlotEnd, pl.slotTotal = 0, 0
 
@@ -289,7 +292,8 @@ func (pl *plan) clearRefs() {
 	pl.smplHist, pl.smplDens, pl.smplSel, pl.smplCnt = nil, nil, nil, nil
 	pl.runStarts, pl.runCounts = nil, nil
 	pl.blockHeavy, pl.heavyRuns, pl.lightCounts = nil, nil, nil
-	pl.buckets, pl.table, pl.lightBucketOf = nil, nil, nil
+	pl.buckets, pl.lightBucketOf = nil, nil
+	pl.hdir, pl.hkeys, pl.hids = nil, nil, nil
 	pl.slots, pl.occ = nil, nil
 	pl.ofBuckets = nil
 	pl.hist, pl.bids, pl.counts, pl.cbase = nil, nil, nil, nil
@@ -406,83 +410,43 @@ func (pl *plan) parForEachNoCtx(n, grain int, f func(*plan, int)) {
 }
 
 // bucketOf resolves a record to its bucket id and whether it took the
-// heavy path.
-//
-// lightBucketOf doubles as a dense heavy directory: ranges containing no
-// heavy key store their light bucket id directly, so the common case —
-// light record, unflagged range — resolves with the one array load Phase
-// 3 needed anyway, no hash and no table probe. Ranges that do contain a
-// heavy key (flagged by allocatePhase with the id's complement) fall to
-// the slow path, which consults the heavy table and decodes the
-// complement on a miss.
+// heavy path (heavy ids are < firstLight, light ids >= firstLight).
 func (pl *plan) bucketOf(r rec.Record) (int64, bool) {
-	if v := pl.lightBucketOf[r.Key>>pl.shift]; v >= 0 {
-		return int64(v), false
-	}
-	return pl.bucketOfSlow(r.Key)
+	b := pl.classify(r.Key)
+	return int64(b), b < uint32(pl.firstLight)
 }
 
-// bucketOfSlow resolves a key whose hash range is flagged as containing a
-// heavy key. Split out so bucketOf's fast path inlines into the scatter
-// loops.
-func (pl *plan) bucketOfSlow(k uint64) (int64, bool) {
-	if k == hashtable.Empty {
-		if pl.emptyKeyBucket >= 0 {
-			// The table's reserved key gets a dedicated heavy bucket.
-			return pl.emptyKeyBucket, true
+// classify resolves key k through the heavy directory. A key whose cell
+// is empty — every light key but those sharing a cell with a heavy key —
+// costs the directory load plus its hash range's light bucket load; a
+// heavy key costs the directory load and one key compare, plus a scan
+// when its cell holds several heavy keys. A key missing from its cell's
+// run is light.
+func (pl *plan) classify(k uint64) uint32 {
+	for s := pl.hdir[(k*hdirMul)>>pl.hshift]; s >= 0; s++ {
+		id := pl.hids[s]
+		if pl.hkeys[s] == k {
+			return id &^ hidLast
 		}
-	} else if v, ok := pl.table.Lookup(k); ok {
-		return int64(v), true
+		if id&hidLast != 0 {
+			break
+		}
 	}
-	return int64(^pl.lightBucketOf[k>>pl.shift]), false
+	return uint32(pl.lightBucketOf[k>>pl.shift])
 }
 
-// probeBatch is the record blocking factor of the batched classifiers:
-// matches hashtable's lookup block so one bucketOfBatch resolves in a
-// single table-probe burst.
+// probeBatch is the record blocking factor of the batched classifier
+// and of the scatter loops that call it.
 const probeBatch = 16
 
 // bucketOfBatch resolves records a[base:base+len(bids)] (len(bids) ≤
-// probeBatch) into bids, exactly as bucketOf calls would. Records in
-// unflagged ranges resolve inline; the rest are gathered and resolved
-// through one hashtable.LookupBatch call, so their dependent probe loads
-// overlap in the memory system instead of serializing — the point of
-// blocking the scatter loops. Heavy ids are < firstLight and light ids
-// >= firstLight (allocatePhase), so the id alone says which path a record
-// took. All scratch is fixed-size and stack-allocated.
+// probeBatch) into bids, exactly as bucketOf calls would. The records
+// are independent, so their directory loads overlap in the memory
+// system.
 func (pl *plan) bucketOfBatch(base int, bids []uint32) {
-	var keys [probeBatch]uint64
-	var vals [probeBatch]uint64
-	var ok [probeBatch]bool
-	var slow [probeBatch]uint8
-	shift := pl.shift
 	a := pl.a[base : base+len(bids)]
-	nslow := 0
 	for i := range bids {
-		k := a[i].Key
-		if v := pl.lightBucketOf[k>>shift]; v >= 0 {
-			bids[i] = uint32(v)
-		} else {
-			keys[nslow] = k
-			slow[nslow] = uint8(i)
-			nslow++
-		}
-	}
-	if nslow == 0 {
-		return
-	}
-	pl.table.LookupBatch(keys[:nslow], vals[:nslow], ok[:nslow])
-	for j := 0; j < nslow; j++ {
-		i := slow[j]
-		k := keys[j]
-		switch {
-		case k == hashtable.Empty && pl.emptyKeyBucket >= 0:
-			bids[i] = uint32(pl.emptyKeyBucket)
-		case ok[j]:
-			bids[i] = uint32(vals[j])
-		default:
-			bids[i] = uint32(^pl.lightBucketOf[k>>shift])
-		}
+		bids[i] = pl.classify(a[i].Key)
 	}
 }
 

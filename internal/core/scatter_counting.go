@@ -3,11 +3,11 @@
 // duplication and for every fused reduce).
 //
 // Pass 1 splits the input into blocks, classifies every record once —
-// the batched heavy-directory lookup, else the light bucket of its hash
-// range — and builds one bucket histogram per block. Each record's bin id
-// is memoized in a workspace-owned column (Workspace.bids, 4 bytes per
-// record, priced against Config.MaxSlotBytes by planCounting), so pass 2
-// replays the column instead of probing the heavy table a second time.
+// its heavy id from the heavy directory, else the light bucket of its
+// hash range — and builds one bucket histogram per block. Each record's
+// bin id is memoized in a workspace-owned column (Workspace.bids, 4 bytes
+// per record, priced against Config.MaxSlotBytes by planCounting), so
+// pass 2 replays the column instead of classifying a second time.
 // Column-wise prefix sums over the per-block histograms — seeded with an
 // exclusive scan of the per-bucket totals — turn each histogram row into
 // a set of absolute write cursors, so pass 2 can copy every record
@@ -26,7 +26,7 @@
 // When the bucket count is small relative to the block size, pass 2
 // routes records through small per-worker staging buffers
 // (countingStageSlots records — one cache line — per bucket) and flushes
-// full lines with a single copy, converting scattered single-record
+// full lines with four record moves, converting scattered single-record
 // stores into sequential line-sized writes (the software write-combining
 // trick from the integer-sort literature). With many buckets the staging
 // arrays would thrash the cache themselves, so the plan falls back to
@@ -41,6 +41,7 @@ import (
 	"repro/internal/fault"
 	"repro/internal/parallel"
 	"repro/internal/prim"
+	"repro/internal/rec"
 )
 
 const (
@@ -221,9 +222,12 @@ func (pl *plan) countingPassChunk(blo, bhi int) {
 			buf[int(bid)*countingStageSlots+int(c)] = a[i]
 			c++
 			if int(c) == countingStageSlots {
+				// Four element moves: a copy, or an assignment of the
+				// whole array, compiles to a runtime.memmove call.
 				p := offs[bid]
-				copy(pl.out[p:p+countingStageSlots],
-					buf[int(bid)*countingStageSlots:(int(bid)+1)*countingStageSlots])
+				d := (*[countingStageSlots]rec.Record)(pl.out[p:])
+				s := (*[countingStageSlots]rec.Record)(buf[int(bid)*countingStageSlots:])
+				d[0], d[1], d[2], d[3] = s[0], s[1], s[2], s[3]
 				offs[bid] = p + countingStageSlots
 				cnt[bid] = 0
 				nf++

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/hashtable"
 	"repro/internal/rec"
 	"repro/internal/sortint"
 )
@@ -9,7 +8,7 @@ import (
 // A Workspace owns every per-attempt buffer of the pipeline — sample
 // arrays, run/bucket descriptors, light histograms, slot and occupancy
 // arrays, the counting scatter's histograms and staging arena, the
-// heavy-key hash table, the retry boost map, and (for SemisortShared) a
+// heavy directory, the retry boost map, and (for SemisortShared) a
 // retained output buffer — so repeated semisorts reuse memory instead of
 // reallocating ~4-6n bytes per call. In steady state a call through a
 // warm Workspace allocates nothing beyond the returned slice (and nothing
@@ -41,7 +40,9 @@ type Workspace struct {
 	lightCounts   []int32
 	lightBucketOf []int32
 	buckets       []bucket
-	table         *hashtable.Table
+	hdir          []int32           // heavy directory cells (buildHeavyDir)
+	hkeys         []uint64          // heavy keys, counting-sorted by cell
+	hids          []uint32          // their bucket ids, run ends flagged
 	boost         map[int32]float64 // bucket id → size multiplier (retry ladder)
 
 	// Phase 3: probing scatter.
@@ -169,25 +170,6 @@ func (w *Workspace) getSlots(total int64) ([]rec.Record, []uint32) {
 	return w.slots, occ
 }
 
-// getTable returns an empty heavy-key table sized for capacity keys,
-// reusing the retained table when its backing is large enough but not
-// absurdly oversized (an 8x-too-big table would make every Reset and
-// cache-missed probe pay for a long-gone input).
-func (w *Workspace) getTable(capacity int) *hashtable.Table {
-	need := 2 * capacity
-	if need < 4 {
-		need = 4
-	}
-	if t := w.table; t != nil {
-		if c := t.Capacity(); c >= need && c <= 8*need {
-			t.Reset()
-			return t
-		}
-	}
-	w.table = hashtable.New(capacity)
-	return w.table
-}
-
 // getBoost returns the retained (cleared) per-bucket boost map for the
 // retry ladder.
 func (w *Workspace) getBoost() map[int32]float64 {
@@ -272,7 +254,7 @@ func (w *Workspace) acquireRed() int { return <-w.redFree }
 func (w *Workspace) releaseRed(s int) { w.redFree <- s }
 
 // RetainedBytes reports the scratch memory the workspace currently pins,
-// the quantity Config.MaxRetainedBytes caps. The heavy-key table and the
+// the quantity Config.MaxRetainedBytes caps. The heavy directory and the
 // retained Shared output count; the boost map's few entries do not.
 func (w *Workspace) RetainedBytes() int64 {
 	n := int64(cap(w.sample)+cap(w.sampleScratch)) * 8
@@ -282,7 +264,8 @@ func (w *Workspace) RetainedBytes() int64 {
 	n += int64(cap(w.runStarts)+cap(w.runCounts)+cap(w.blockHeavy)+
 		cap(w.lightCounts)+cap(w.lightBucketOf)+cap(w.lightCnt)+
 		cap(w.lightOffsets)+cap(w.packCounts)+
-		cap(w.hist)+cap(w.counts)+cap(w.cbase)) * 4
+		cap(w.hist)+cap(w.counts)+cap(w.cbase)+cap(w.hdir)+cap(w.hids)) * 4
+	n += int64(cap(w.hkeys)) * 8
 	n += int64(cap(w.heavyRuns))*16 + int64(cap(w.buckets))*16
 	n += int64(cap(w.slots))*16 + int64(cap(w.occ))*4 + int64(cap(w.bids))*4
 	n += int64(cap(w.rxScratch))*16 + w.dtScratch.RetainedBytes()
@@ -300,9 +283,6 @@ func (w *Workspace) RetainedBytes() int64 {
 	n += int64(cap(w.redUsed)) + int64(cap(w.redStage))*16
 	n += int64(cap(w.redDistinct)+cap(w.redOff)) * 4
 	n += int64(cap(w.out)) * 16
-	if w.table != nil {
-		n += int64(w.table.Capacity()) * 16
-	}
 	return n
 }
 
@@ -316,7 +296,8 @@ func (w *Workspace) Release() {
 	w.smplDens, w.smplRate, w.smplOver, w.smplSel = nil, nil, nil, nil
 	w.runStarts, w.runCounts, w.blockHeavy = nil, nil, nil
 	w.heavyRuns, w.lightCounts, w.lightBucketOf = nil, nil, nil
-	w.buckets, w.table, w.boost = nil, nil, nil
+	w.buckets, w.boost = nil, nil
+	w.hdir, w.hkeys, w.hids = nil, nil, nil
 	w.slots, w.occ, w.rxScratch, w.bids = nil, nil, nil, nil
 	w.dtScratch.Release()
 	w.hist, w.counts, w.cbase = nil, nil, nil
@@ -351,6 +332,7 @@ func (w *Workspace) shrink(max int64) {
 		return
 	}
 	w.hist, w.stageBuf, w.stageCnt, w.stageFree = nil, nil, nil, nil
+	w.hdir, w.hkeys, w.hids = nil, nil, nil
 	w.dtScratch.Release()
 	w.lsArenas, w.lsFree, w.lsCum, w.lsBounds = nil, nil, nil, nil
 	w.redAccs, w.redCellReps, w.redUsed, w.redFree = nil, nil, nil, nil

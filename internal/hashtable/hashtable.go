@@ -5,15 +5,18 @@
 //
 // "Phase-concurrent" means operations of the same kind may run concurrently
 // (many inserts in one phase, many lookups in another) but phases must be
-// separated by a barrier — exactly the usage pattern in the semisort
-// algorithm, where the heavy-key table T is fully built before the scatter
-// phase performs lookups. Inserts claim slots with a single CAS on the key
-// word; lookups are plain loads, so they are wait-free.
+// separated by a barrier — the usage pattern of the paper's heavy-key
+// table T, fully built before the scatter phase performs lookups. (The
+// semisort core indexes its heavy keys in a dense heavy directory
+// instead, internal/core buckets.go; this table names keys for the
+// rank-and-radix baseline, internal/rrsort.) Inserts claim slots with a
+// single CAS on the key word; lookups are plain loads, so they are
+// wait-free.
 //
 // The table has a fixed capacity chosen at construction; it never grows.
 // One key value (Empty = ^uint64(0)) is reserved as the empty-slot marker.
 // Callers whose keys may legitimately take that value must remap it first
-// (the semisort core does).
+// (rrsort does).
 package hashtable
 
 import (
@@ -153,85 +156,6 @@ func (t *Table) Lookup(k uint64) (uint64, bool) {
 			return 0, false
 		}
 		i = (i + 1) & t.mask
-	}
-}
-
-// lookupBlockSize is LookupBatch's internal blocking factor: enough
-// independent probe loads to cover a cache-miss latency, small enough
-// that the per-block scratch stays in registers / L1.
-const lookupBlockSize = 16
-
-// LookupBatch resolves keys[i] into (vals[i], ok[i]) for every i,
-// exactly as len(keys) independent Lookup calls would. vals and ok must
-// be at least len(keys) long.
-//
-// The point is memory-level parallelism: a scalar Lookup per record
-// chains a hash, a dependent table load, and a compare, so the CPU
-// stalls on one cache miss at a time. LookupBatch processes keys in
-// blocks of 16 — hashing the whole block first, then issuing every
-// block member's first probe load before resolving any of them — so up
-// to 16 misses are in flight at once. Keys whose first probe neither
-// hits nor lands on an empty slot (rare at the construction load factor
-// of ≤ 1/2) fall back to the scalar probe loop.
-//
-// Phase rules match Lookup: wait-free, safe concurrently with other
-// Lookups/LookupBatches, never concurrently with Insert.
-func (t *Table) LookupBatch(keys []uint64, vals []uint64, ok []bool) {
-	for len(keys) > lookupBlockSize {
-		t.lookupBlock(keys[:lookupBlockSize], vals[:lookupBlockSize], ok[:lookupBlockSize])
-		keys, vals, ok = keys[lookupBlockSize:], vals[lookupBlockSize:], ok[lookupBlockSize:]
-	}
-	t.lookupBlock(keys, vals, ok)
-}
-
-// lookupBlock is LookupBatch for one block of at most lookupBlockSize
-// keys.
-func (t *Table) lookupBlock(keys []uint64, vals []uint64, ok []bool) {
-	var slots [lookupBlockSize]uint64
-	var first [lookupBlockSize]uint64
-	n := len(keys)
-	// Pass 1: pure arithmetic — every initial slot, no memory dependence.
-	for i := 0; i < n; i++ {
-		slots[i] = hash.Fmix64(keys[i]) & t.mask
-	}
-	// Pass 2: issue the first probe load for every key before resolving
-	// any of them; the loads are independent, so they overlap in the
-	// memory system instead of serializing.
-	for i := 0; i < n; i++ {
-		first[i] = t.keys[slots[i]]
-	}
-	// Pass 3: resolve. The reserved key can never be stored (probing for
-	// it would falsely match the first vacant slot), so it misses before
-	// the hit check, exactly as Lookup does.
-	for i := 0; i < n; i++ {
-		k := keys[i]
-		if k == Empty {
-			vals[i], ok[i] = 0, false
-			continue
-		}
-		cur := first[i]
-		if cur == k {
-			vals[i], ok[i] = t.vals[slots[i]], true
-			continue
-		}
-		if cur == Empty {
-			vals[i], ok[i] = 0, false
-			continue
-		}
-		// Collision on the first probe: continue the scalar linear probe.
-		j := (slots[i] + 1) & t.mask
-		for {
-			cur = t.keys[j]
-			if cur == k {
-				vals[i], ok[i] = t.vals[j], true
-				break
-			}
-			if cur == Empty {
-				vals[i], ok[i] = 0, false
-				break
-			}
-			j = (j + 1) & t.mask
-		}
 	}
 }
 
